@@ -16,8 +16,8 @@ leaves it learned (none).  Optional post-processing unions the amodal
 prediction with the visible-mask input (whatever mask the model was
 actually given).  Optional two-pass inference re-runs the model with a
 self-estimated visible mask: amodal minus occluded from pass one,
-falling back to the pass-one visible prediction when that reference
-comes up empty.
+falling back to the original visible-mask input when that estimate is
+empty.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from .errors import ConfigError, DimensionError
 from .geometry import BinaryMask, iou, mask_diff, mask_union
 from .model import GraspModel
 from .seeding import derive_seed
-from .synthdata import SceneInstance, perturb_vm
+from .synthdata import OCC_BINS, SceneInstance, perturb_vm
 
-OCC_BINS = ((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0))
 VM_BINS = ((0.5, 0.65), (0.65, 0.75), (0.75, 0.85), (0.85, 0.95), (0.95, 1.0))
 
 
@@ -79,10 +78,8 @@ def two_pass(model: GraspModel, image: np.ndarray, v_input: BinaryMask,
     """Self-refined inference: exactly two forward passes.
 
     The second pass replaces the visible-mask input with the model's own
-    estimate from the first pass (amodal minus occluded).  If that
-    estimate is empty it falls back to the first pass's thresholded
-    visible region, i.e. amodal intersect not-occluded ... which is the
-    same construction; the practical fallback is the original input.
+    estimate from the first pass (amodal minus occluded), or with the
+    original input when that estimate is empty.
     """
     a1, o1, _ = predict(model, image, v_input, threshold, gate_override)
     v_ref = mask_diff(a1, o1)

@@ -2,9 +2,11 @@
 
 Distances are measured between pixel centers.  The distance transform
 is exact Euclidean, computed separably: a per-column scan finds the
-row distance to the nearest true pixel in each column, then a per-row
-lower-envelope pass minimizes over columns on squared distances.  All
-squared distances are integers until the final square root.
+squared row distance to the nearest true pixel in each column, then a
+broadcast minimum over columns, taken over blocks of rows, adds the
+squared column offset and keeps the smallest sum.  All squared distances
+are integers until the final square root, so the minimum is exact and
+independent of the order in which it is taken.
 
 The signed distance field of a mask V uses the opposite-class
 convention: a pixel outside V gets +distance to the nearest pixel of V,
@@ -26,6 +28,7 @@ from . import pgm
 from .errors import ConfigError, DimensionError, IntegrityError
 
 _NO_FEATURE = np.int64(2**62)
+_BLOCK_ELEMENTS = 2**16  # int64 elements in one broadcast-min block (512 KiB)
 
 
 class BinaryMask:
@@ -130,47 +133,17 @@ def _column_sq(feature: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _envelope_row(f: np.ndarray, out: np.ndarray) -> None:
-    """Lower envelope of the parabolas x -> (x - q)^2 + f[q] over one row.
-
-    f holds integer parabola heights (the per-column squared distances);
-    entries equal to the sentinel contribute no parabola.  Writes the
-    pointwise envelope minimum into ``out``.
-    """
-    n = f.shape[0]
-    qs = np.flatnonzero(f < _NO_FEATURE)
-    if qs.size == 0:
-        out[:] = _NO_FEATURE
-        return
-    m = qs.size
-    v = np.empty(m, dtype=np.int64)  # column of the k-th envelope parabola
-    z = np.empty(m + 1, dtype=np.float64)  # boundaries between parabolas
-    v[0] = qs[0]
-    z[0] = -np.inf
-    z[1] = np.inf
-    k = 0
-    fl = f  # local alias
-    for q in qs[1:].tolist():
-        fq_q2 = int(fl[q]) + q * q
-        while True:
-            p = int(v[k])
-            s = (fq_q2 - int(fl[p]) - p * p) / (2 * (q - p))
-            if s <= z[k]:
-                k -= 1
-            else:
-                break
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = np.inf
-    x = np.arange(n)
-    idx = np.searchsorted(z[1 : k + 1], x, side="right")
-    best = v[idx]
-    out[:] = (x - best) ** 2 + fl[best]
-
-
 def edt_sq(mask: BinaryMask) -> np.ndarray:
     """Exact squared Euclidean distance to the nearest true pixel (int64).
+
+    The column scan gives each pixel its squared row distance colsq[y, x']
+    to the nearest true pixel of every column x'; the answer is then
+    min over x' of colsq[y, x'] + (x - x')^2, taken by broadcasting over a
+    block of rows at a time so the (rows, w, w) temporary holds at most
+    _BLOCK_ELEMENTS elements (one row when w * w alone is more).  Every
+    term is an integer, so the minimum is exact.  A non-empty mask gives
+    every row at least one finite column, and the sentinel plus (w - 1)^2
+    stays far below the int64 limit.
 
     An empty mask has no feature to measure against; every pixel gets
     the squared image diagonal by convention.
@@ -179,9 +152,12 @@ def edt_sq(mask: BinaryMask) -> np.ndarray:
     if not mask.any():
         return np.full((h, w), np.int64(h * h + w * w))
     colsq = _column_sq(mask.a)
+    x = np.arange(w, dtype=np.int64)
+    dx_sq = (x[:, None] - x) ** 2
     out = np.empty((h, w), dtype=np.int64)
-    for y in range(h):
-        _envelope_row(colsq[y], out[y])
+    rows = max(1, _BLOCK_ELEMENTS // (w * w))
+    for y in range(0, h, rows):
+        np.min(colsq[y : y + rows, None, :] + dx_sq, axis=2, out=out[y : y + rows])
     return out
 
 

@@ -25,9 +25,10 @@ import numpy as np
 
 from . import pgm
 from .errors import ConfigError, DatasetIOError, DimensionError, IntegrityError
-from .geometry import BinaryMask, mask_diff
+from .geometry import BinaryMask, mask_diff, read_mask, write_mask
 
 SHAPE_CLASSES = ("rectangle", "ellipse", "triangle", "l_shape")
+OCC_BINS = ((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0))
 
 MANIFEST_NAME = "manifest.json"
 DATASET_FORMAT = "grasp-dataset-v1"
@@ -362,8 +363,8 @@ def write_dataset(
             raise DimensionError(f"instance {i} shape {inst.image.shape} != dataset {h}x{w}")
         img_name, vis_name, amo_name = _names(i)
         pgm.write_pgm(os.path.join(out_dir, img_name), np.rint(inst.image * 255.0).astype(np.uint8))
-        _write_mask(os.path.join(out_dir, vis_name), inst.visible)
-        _write_mask(os.path.join(out_dir, amo_name), inst.amodal)
+        write_mask(os.path.join(out_dir, vis_name), inst.visible)
+        write_mask(os.path.join(out_dir, amo_name), inst.amodal)
         entries.append(
             {
                 "id": i,
@@ -390,10 +391,6 @@ def write_dataset(
     return manifest
 
 
-def _write_mask(path, mask: BinaryMask) -> None:
-    pgm.write_pgm(path, np.where(mask.a, 255, 0).astype(np.uint8))
-
-
 def read_dataset(data_dir) -> tuple[DatasetManifest, list[SceneInstance]]:
     manifest_path = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
@@ -408,8 +405,6 @@ def read_dataset(data_dir) -> tuple[DatasetManifest, list[SceneInstance]]:
     h, w = raw["height"], raw["width"]
     instances = []
     for entry in raw["instances"]:
-        from .geometry import read_mask  # local import avoids a cycle at module load
-
         image_u8 = pgm.read_pgm(os.path.join(data_dir, entry["image"]))
         visible = read_mask(os.path.join(data_dir, entry["visible"]))
         amodal = read_mask(os.path.join(data_dir, entry["amodal"]))
@@ -450,9 +445,8 @@ def occ_bin_fractions(instances: list[SceneInstance]) -> dict[str, float]:
     occluded = [i for i in instances if i.occluded.any()]
     if not occluded:
         return {}
-    edges = [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
     out = {}
-    for lo, hi in edges:
+    for lo, hi in OCC_BINS:
         last = hi == 1.0
         n = sum(1 for i in occluded if lo <= i.occ_ratio < hi or (last and i.occ_ratio == hi))
         out[f"[{lo},{hi}{']' if last else ')'}"] = n / len(occluded)

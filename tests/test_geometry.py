@@ -23,14 +23,18 @@ from grasp.pgm import read_pgm, write_pgm
 
 
 def brute_edt_sq(arr):
-    """O(pixels * features) reference distance transform."""
+    """O(pixels * features) reference distance transform, one row at a time.
+
+    Going row by row keeps the temporary at (w, features), so dense masks
+    of scene size stay cheap to check.
+    """
     h, w = arr.shape
     ys, xs = np.nonzero(arr)
     if ys.size == 0:
         return np.full((h, w), h * h + w * w, dtype=np.int64)
-    yy, xx = np.mgrid[0:h, 0:w]
-    d = (yy[..., None] - ys) ** 2 + (xx[..., None] - xs) ** 2
-    return d.min(axis=2).astype(np.int64)
+    xx = np.arange(w)[:, None]
+    rows = [((y - ys) ** 2 + (xx - xs) ** 2).min(axis=1) for y in range(h)]
+    return np.array(rows, dtype=np.int64)
 
 
 # -- masks and IoU --------------------------------------------------------
@@ -115,6 +119,17 @@ def test_edt_matches_brute_force_on_random_masks():
         want = brute_edt_sq(arr)
         assert got.dtype == np.int64
         assert np.array_equal(got, want), f"seed {seed} shape {h}x{w}"
+    # Shapes that span several row blocks of the broadcast minimum: the
+    # default 64x64, partial last blocks (70x64, 64x40, 37x129), and a row
+    # wider than one block's budget (5x300).  Each sparse mask is checked
+    # together with its dense complement.
+    for h, w in ((64, 64), (70, 64), (64, 40), (37, 129), (5, 300)):
+        arr = rng.random((h, w)) < 0.01
+        arr[int(rng.integers(h)), int(rng.integers(w))] = True
+        for case in (arr, ~arr):
+            got = edt_sq(BinaryMask(case))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, brute_edt_sq(case)), f"shape {h}x{w}"
 
 
 def test_edt_matches_brute_force_on_structured_masks():
