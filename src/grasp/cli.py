@@ -5,9 +5,6 @@ subcommand accepts --config JSON_FILE; explicit flags override config
 file values.  Outputs embed the resolved configuration and the package
 version.  Exit codes: 0 success, 1 I/O or data-integrity failure
 (one machine-parsable line on stderr), 2 usage error.
-
-GRASP_THREADS caps the worker count; every stage currently runs on a
-single worker, so any positive cap is honored as written.
 """
 
 from __future__ import annotations
@@ -25,19 +22,8 @@ from .geometry import read_mask, sdf, sdf_to_csv, sdf_to_pgm
 from .model import GraspConfig, GraspModel, load_checkpoint
 from .pgm import write_pgm
 from .synthdata import SceneConfig, generate_dataset, read_dataset, write_dataset
+from .tensor import sigmoid
 from .training import TrainConfig, train
-
-
-def max_workers() -> int:
-    """Worker cap from GRASP_THREADS (default 1; generation and eval are serial)."""
-    raw = os.environ.get("GRASP_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise GraspError(f"GRASP_THREADS={raw!r} is not an integer") from None
-    if cap < 1:
-        raise GraspError(f"GRASP_THREADS={cap} must be at least 1")
-    return cap
 
 
 def _load_config_file(path) -> dict:
@@ -83,7 +69,6 @@ def cmd_gen(args) -> int:
     scene_cfg = SceneConfig.from_dict(
         _merge(file_cfg.get("scene", {}), {"size": args.size})
     )
-    max_workers()  # validate the cap even though generation is serial
     instances = generate_dataset(args.n, args.seed, scene_cfg)
     write_dataset(args.out, instances, args.seed, scene_cfg, split=args.split)
     print(f"wrote {len(instances)} instances to {args.out}")
@@ -183,9 +168,10 @@ def cmd_probe(args) -> int:
 def cmd_stats(args) -> int:
     model = _load_model(args)
     _, instances = read_dataset(args.data)
+    report = evalkit.evaluate(model, instances, "oracle")
     payload = {
-        "gate": evalkit.gate_stats(model, instances),
-        "attention": evalkit.attention_stats(model, instances),
+        "gate": report.gate_stats,
+        "attention": report.attention_stats,
         "config": _run_config(args, {"model": model.config.to_dict()}),
         "version": __version__,
     }
@@ -200,13 +186,13 @@ def cmd_sdf(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     sdf_to_csv(field, os.path.join(args.out, "sdf.csv"))
     sdf_to_pgm(field, os.path.join(args.out, "sdf.pgm"))
-    gate = 1.0 / (1.0 + np.exp(-(args.alpha * field.normalized + args.beta)))
+    gate = sigmoid(args.alpha * field.normalized + args.beta).data
     write_pgm(os.path.join(args.out, "gate.pgm"),
               np.clip(np.rint(gate * 255.0), 0, 255).astype(np.uint8))
     _write_json(
         os.path.join(args.out, "sdf_meta.json"),
         {
-            "mask": os.path.abspath(args.mask),
+            "mask": args.mask,
             "alpha": args.alpha,
             "beta": args.beta,
             "diagonal": field.diagonal,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -38,8 +38,9 @@ from .synthdata import OCC_BINS, SceneInstance, perturb_vm
 VM_BINS = ((0.5, 0.65), (0.65, 0.75), (0.75, 0.85), (0.85, 0.95), (0.95, 1.0))
 
 
-def _threshold(logits: np.ndarray, threshold: float) -> BinaryMask:
-    return BinaryMask(logits > _logit(threshold))
+def _masks(trace, threshold: float) -> tuple[BinaryMask, BinaryMask]:
+    cut = _logit(threshold)
+    return BinaryMask(trace.logits_amodal.data > cut), BinaryMask(trace.logits_occ.data > cut)
 
 
 def _logit(p: float) -> float:
@@ -52,9 +53,7 @@ def predict(model: GraspModel, image: np.ndarray, v_input: BinaryMask,
             threshold: float = 0.5, gate_override: Optional[float] = "config"):
     """One forward pass -> (amodal mask, occluded mask, trace)."""
     trace = model.forward(image, v_input, gate_override=gate_override)
-    amodal = _threshold(trace.logits_amodal.data, threshold)
-    occluded = _threshold(trace.logits_occ.data, threshold)
-    return amodal, occluded, trace
+    return (*_masks(trace, threshold), trace)
 
 
 def postprocess_union(amodal_pred: BinaryMask, v_input: BinaryMask) -> BinaryMask:
@@ -115,26 +114,7 @@ class EvalReport:
     version: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "gate_override": self.gate_override,
-            "postprocess": self.postprocess,
-            "two_pass": self.two_pass,
-            "threshold": self.threshold,
-            "occ_metric": self.occ_metric,
-            "eval_seed": self.eval_seed,
-            "n_instances": self.n_instances,
-            "n_occluded": self.n_occluded,
-            "full_miou": self.full_miou,
-            "occ_miou": self.occ_miou,
-            "occ_strata": self.occ_strata,
-            "vm_strata": self.vm_strata,
-            "gate_stats": self.gate_stats,
-            "attention_stats": self.attention_stats,
-            "rows": self.rows,
-            "config": self.config,
-            "version": self.version,
-        }
+        return asdict(self)
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -216,15 +196,28 @@ def evaluate(model, instances: list[SceneInstance], protocol: str = "oracle", *,
     (mechanism stats are then skipped), which keeps the metric plumbing
     testable against stub predictors with hand-computable IoUs.
     """
+    return _sweep(model, instances, protocol, (gate_override,), use_postprocess=use_postprocess,
+                  use_two_pass=use_two_pass, threshold=threshold, eval_seed=eval_seed,
+                  occ_metric=occ_metric, collect_stats=collect_stats, config_echo=config_echo,
+                  version=version)[0]
+
+
+def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
+           use_two_pass=False, threshold=0.5, eval_seed=0, occ_metric="head",
+           collect_stats=True, config_echo=None, version=None) -> list[EvalReport]:
+    """One EvalReport per gate override, from one forward pass per instance.
+
+    Later overrides re-gate the first one's trace.  Two-pass inference runs
+    per override, as its second input depends on the first pass's output.
+    """
     if protocol not in ("oracle", "standard"):
         raise ConfigError(f"unknown protocol {protocol!r}")
     if occ_metric not in ("head", "amodal_minus_visible"):
         raise ConfigError(f"unknown occluded-IoU operand choice {occ_metric!r}")
 
     is_model = isinstance(model, GraspModel)
-    rows = []
-    gate_samples = []  # (occ_ratio, per-token gate, sdf sign) triples
-    attn_samples = []
+    rows = [[] for _ in overrides]
+    samples = [[] for _ in overrides]  # (occ_ratio, per-token gate, sdf, prototype attention)
     for index, inst in enumerate(instances):
         if protocol == "standard":
             v_input = perturb_vm(inst.visible, derive_seed(eval_seed, "eval-vm", index))
@@ -234,75 +227,77 @@ def evaluate(model, instances: list[SceneInstance], protocol: str = "oracle", *,
             vm_iou = None
 
         trace = None
-        if is_model:
-            if use_two_pass:
-                tp = two_pass(model, inst.image, v_input, threshold, gate_override)
+        for k, override in enumerate(overrides):
+            if not is_model:
+                amodal_pred, occ_pred = model(inst.image, v_input)
+            elif use_two_pass:
+                tp = two_pass(model, inst.image, v_input, threshold, override)
                 amodal_pred, occ_pred = tp.amodal, tp.occluded
             else:
-                amodal_pred, occ_pred, trace = predict(
-                    model, inst.image, v_input, threshold, gate_override
-                )
-        else:
-            amodal_pred, occ_pred = model(inst.image, v_input)
+                trace = (model.forward(inst.image, v_input, override) if trace is None
+                         else model.regate(trace, override))
+                amodal_pred, occ_pred = _masks(trace, threshold)
 
-        if use_postprocess:
-            amodal_pred = postprocess_union(amodal_pred, v_input)
+            if use_postprocess:
+                amodal_pred = postprocess_union(amodal_pred, v_input)
 
-        if occ_metric == "amodal_minus_visible":
-            occ_pred = mask_diff(amodal_pred, v_input)
+            if occ_metric == "amodal_minus_visible":
+                occ_pred = mask_diff(amodal_pred, v_input)
 
-        full_iou = iou(amodal_pred, inst.amodal)
-        occ_iou = iou(occ_pred, inst.occluded) if inst.occluded.any() else None
+            full_iou = iou(amodal_pred, inst.amodal)
+            occ_iou = iou(occ_pred, inst.occluded) if inst.occluded.any() else None
 
-        mean_gate = None
-        if trace is not None:
-            gate_vals = trace.gate.data
-            mean_gate = float(gate_vals.mean())
-            if collect_stats:
-                gate_samples.append((inst.occ_ratio, gate_vals, trace.sdf_tokens))
-                attn_samples.append((trace.proto_attn, trace.sdf_tokens))
+            mean_gate = None
+            if trace is not None:
+                gate_vals = trace.gate.data
+                mean_gate = float(gate_vals.mean())
+                if collect_stats:
+                    samples[k].append((inst.occ_ratio, gate_vals, trace.sdf_tokens,
+                                       trace.proto_attn))
 
-        rows.append(
-            {
-                "index": index,
-                "shape_class": inst.shape_class,
-                "occ_ratio": inst.occ_ratio,
-                "vm_iou": vm_iou,
-                "full_iou": full_iou,
-                "occ_iou": occ_iou,
-                "mean_gate": mean_gate,
-            }
-        )
+            rows[k].append(
+                {
+                    "index": index,
+                    "shape_class": inst.shape_class,
+                    "occ_ratio": inst.occ_ratio,
+                    "vm_iou": vm_iou,
+                    "full_iou": full_iou,
+                    "occ_iou": occ_iou,
+                    "mean_gate": mean_gate,
+                }
+            )
 
-    if isinstance(gate_override, str) and gate_override == "config":
-        effective_override = model.config.gate_override if is_model else None
-    else:
+    reports = []
+    for k, gate_override in enumerate(overrides):
         effective_override = gate_override
+        if isinstance(gate_override, str) and gate_override == "config":
+            effective_override = model.config.gate_override if is_model else None
 
-    full_scores = [r["full_iou"] for r in rows]
-    occ_scores = [r["occ_iou"] for r in rows if r["occ_iou"] is not None]
-    report = EvalReport(
-        protocol=protocol,
-        gate_override=effective_override,
-        postprocess=use_postprocess,
-        two_pass=use_two_pass,
-        threshold=threshold,
-        occ_metric=occ_metric,
-        eval_seed=eval_seed,
-        n_instances=len(rows),
-        n_occluded=len(occ_scores),
-        full_miou=(sum(full_scores) / len(full_scores)) if full_scores else float("nan"),
-        occ_miou=(sum(occ_scores) / len(occ_scores)) if occ_scores else None,
-        rows=rows,
-        occ_strata=stratify(rows, "occ_ratio", OCC_BINS),
-        vm_strata=stratify(rows, "vm_iou", VM_BINS) if protocol == "standard" else [],
-        config=config_echo,
-        version=version,
-    )
-    if collect_stats and gate_samples and is_model:
-        report.gate_stats = _aggregate_gate_stats(gate_samples, model.config.grid)
-        report.attention_stats = _aggregate_attention_stats(attn_samples)
-    return report
+        full_scores = [r["full_iou"] for r in rows[k]]
+        occ_scores = [r["occ_iou"] for r in rows[k] if r["occ_iou"] is not None]
+        report = EvalReport(
+            protocol=protocol,
+            gate_override=effective_override,
+            postprocess=use_postprocess,
+            two_pass=use_two_pass,
+            threshold=threshold,
+            occ_metric=occ_metric,
+            eval_seed=eval_seed,
+            n_instances=len(rows[k]),
+            n_occluded=len(occ_scores),
+            full_miou=(sum(full_scores) / len(full_scores)) if full_scores else float("nan"),
+            occ_miou=(sum(occ_scores) / len(occ_scores)) if occ_scores else None,
+            rows=rows[k],
+            occ_strata=stratify(rows[k], "occ_ratio", OCC_BINS),
+            vm_strata=stratify(rows[k], "vm_iou", VM_BINS) if protocol == "standard" else [],
+            config=config_echo,
+            version=version,
+        )
+        if collect_stats and samples[k] and is_model:
+            report.gate_stats = _aggregate_gate_stats(samples[k], model.config.grid)
+            report.attention_stats = _aggregate_attention_stats(samples[k])
+        reports.append(report)
+    return reports
 
 
 # -- gate statistics --------------------------------------------------------
@@ -322,7 +317,7 @@ def _grid_position_classes(grid: int) -> np.ndarray:
 def _aggregate_gate_stats(samples, grid: int) -> dict:
     """Mean/σ of the per-instance mean gate by occlusion bin and position."""
     per_bin = [[] for _ in OCC_BINS]
-    for occ_ratio, gate_vals, _ in samples:
+    for occ_ratio, gate_vals, _, _ in samples:
         idx = _bin_index(OCC_BINS, occ_ratio)
         if idx is not None:
             per_bin[idx].append(float(gate_vals.mean()))
@@ -343,13 +338,13 @@ def _aggregate_gate_stats(samples, grid: int) -> dict:
     position_out = {}
     for cls, name in enumerate(names):
         sel = classes == cls
-        vals = [float(g[sel].mean()) for _, g, _ in samples] if sel.any() else []
+        vals = [float(g[sel].mean()) for _, g, _, _ in samples] if sel.any() else []
         position_out[name] = {
             "n_tokens": int(sel.sum()),
             "mean_gate": float(np.mean(vals)) if vals else None,
         }
 
-    sdf_all = np.concatenate([s for _, _, s in samples])
+    sdf_all = np.concatenate([s for _, _, s, _ in samples])
     return {
         "by_occ_bin": bins_out,
         "by_grid_position": position_out,
@@ -388,7 +383,7 @@ def _aggregate_attention_stats(samples) -> dict:
     top1_occ, top1_vis = [], []
     sum_occ = sum_vis = None
     n_skipped = 0
-    for attn, sdf_tok in samples:
+    for _, _, sdf_tok, attn in samples:
         head_avg = attn.mean(axis=0)  # (tokens, n_prototypes)
         occ_sel = sdf_tok > 0
         vis_sel = ~occ_sel
@@ -419,31 +414,20 @@ def _aggregate_attention_stats(samples) -> dict:
 
 def gate_stats(model: GraspModel, instances: list[SceneInstance]) -> dict:
     """Gate statistics under the oracle protocol."""
-    samples = []
-    for inst in instances:
-        trace = model.forward(inst.image, inst.visible)
-        samples.append((inst.occ_ratio, trace.gate.data, trace.sdf_tokens))
-    return _aggregate_gate_stats(samples, model.config.grid)
+    return evaluate(model, instances, "oracle").gate_stats
 
 
 def attention_stats(model: GraspModel, instances: list[SceneInstance]) -> dict:
     """Prototype-attention statistics under the oracle protocol."""
-    samples = []
-    for inst in instances:
-        trace = model.forward(inst.image, inst.visible)
-        samples.append((trace.proto_attn, trace.sdf_tokens))
-    return _aggregate_attention_stats(samples)
+    return evaluate(model, instances, "oracle").attention_stats
 
 
 def ablate(model: GraspModel, instances: list[SceneInstance], protocol: str = "oracle",
            overrides=(None, 0.0, 0.5, 1.0), **kwargs) -> list[tuple[Optional[float], EvalReport]]:
-    """Evaluate under each gate override; None means the learned gate."""
-    out = []
-    for override in overrides:
-        report = evaluate(
-            model, instances, protocol,
-            gate_override=(override if override is not None else None),
-            collect_stats=False, **kwargs,
-        )
-        out.append((override, report))
-    return out
+    """Evaluate under each gate override; None means the learned gate.
+
+    One forward pass per instance serves every override: the rest re-gate
+    its trace, so each report equals ``evaluate`` under that override.
+    """
+    reports = _sweep(model, instances, protocol, overrides, collect_stats=False, **kwargs)
+    return list(zip(overrides, reports))

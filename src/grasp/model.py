@@ -34,7 +34,7 @@ or the prototype mixture) so ablations are exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -85,17 +85,7 @@ class GraspConfig:
         return self.patch * self.patch
 
     def to_dict(self) -> dict:
-        return {
-            "image_size": self.image_size,
-            "patch": self.patch,
-            "dim": self.dim,
-            "heads": self.heads,
-            "n_prototypes": self.n_prototypes,
-            "vm_hidden": self.vm_hidden,
-            "decoder_hidden": self.decoder_hidden,
-            "sdf_query_mod": self.sdf_query_mod,
-            "gate_override": self.gate_override,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraspConfig":
@@ -115,13 +105,14 @@ class ForwardTrace:
     prior: Tensor  # prototype mixture
     residual: Tensor  # prior - fused
     sdf_tokens: np.ndarray  # pooled normalized signed distance per token
-    gate: Tensor  # per-token gate in (0, 1), or the override constant
-    injected: Tensor  # fused + gate * residual
-    occ_branch: Tensor
-    amodal_branch: Tensor
     proto_attn: np.ndarray  # (heads, tokens, n_prototypes)
-    logits_occ: Tensor  # (H, W)
-    logits_amodal: Tensor  # (H, W)
+    # the tail after the gate; None until GraspModel.regate fills it
+    gate: Optional[Tensor] = None  # per-token gate in (0, 1), or the override constant
+    injected: Optional[Tensor] = None  # fused + gate * residual
+    occ_branch: Optional[Tensor] = None
+    amodal_branch: Optional[Tensor] = None
+    logits_occ: Optional[Tensor] = None  # (H, W)
+    logits_amodal: Optional[Tensor] = None  # (H, W)
 
 
 def _linear(rng, n_in, n_out, scale=None):
@@ -348,31 +339,31 @@ class GraspModel:
     def forward(self, image: np.ndarray, visible: BinaryMask,
                 gate_override: Optional[float] = "config") -> ForwardTrace:
         """Run the full pipeline; override defaults to the configured one."""
-        if gate_override == "config":
-            gate_override = self.config.gate_override
         sdf_tok = self.sdf_tokens(visible)
         tokens = self.encode(image)
         fused, mask_tokens = self.vm_encode_fuse(tokens, visible)
         prior, residual, attn = self.spm(fused, sdf_tok)
-        gate = self.gate(sdf_tok)
-        injected, effective_gate = self.inject(fused, prior, residual, gate, gate_override)
+        prefix = ForwardTrace(tokens=tokens, mask_tokens=mask_tokens, fused=fused, prior=prior,
+                              residual=residual, sdf_tokens=sdf_tok, proto_attn=attn.data.copy())
+        return self.regate(prefix, gate_override)
+
+    def regate(self, trace: ForwardTrace,
+               gate_override: Optional[float] = "config") -> ForwardTrace:
+        """Gate, inject and decode from a trace's prefix; returns the complete trace.
+
+        Nothing before the gate depends on the override, so re-gating a
+        trace equals a fresh ``forward`` under the new override bit for bit.
+        """
+        if gate_override == "config":
+            gate_override = self.config.gate_override
+        gate = self.gate(trace.sdf_tokens)
+        injected, effective_gate = self.inject(trace.fused, trace.prior, trace.residual, gate,
+                                               gate_override)
         occ_branch, amodal_branch = self.decode_branches(injected)
         logits_occ, logits_amodal = self.heads_from_branches(occ_branch, amodal_branch)
-        return ForwardTrace(
-            tokens=tokens,
-            mask_tokens=mask_tokens,
-            fused=fused,
-            prior=prior,
-            residual=residual,
-            sdf_tokens=sdf_tok,
-            gate=effective_gate,
-            injected=injected,
-            occ_branch=occ_branch,
-            amodal_branch=amodal_branch,
-            proto_attn=attn.data.copy(),
-            logits_occ=logits_occ,
-            logits_amodal=logits_amodal,
-        )
+        return replace(trace, gate=effective_gate, injected=injected, occ_branch=occ_branch,
+                       amodal_branch=amodal_branch, logits_occ=logits_occ,
+                       logits_amodal=logits_amodal)
 
     # -- reporting -------------------------------------------------------
 

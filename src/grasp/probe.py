@@ -24,30 +24,26 @@ from .synthdata import SceneInstance
 POSITIONS = ("pre_fusion", "post_fusion", "random_baseline")
 
 
-def extract_probe_set(model: GraspModel, instances: list[SceneInstance], position: str,
-                      seed: int = 0):
-    """Collect (features, targets, instance_ids) over the oracle protocol.
+def extract_probe_set(model: GraspModel, instances: list[SceneInstance], seed: int = 0):
+    """Collect ({position: features}, targets, instance_ids) over the oracle protocol.
 
-    Positions: pre_fusion reads the encoded image tokens, post_fusion
-    reads them after visible-mask fusion, random_baseline draws features
-    from a seeded standard normal of the same shape.
+    One forward pass per instance fills every position: pre_fusion reads
+    the encoded image tokens, post_fusion reads them after visible-mask
+    fusion, random_baseline draws features from a seeded standard normal
+    of the same shape.
     """
-    if position not in POSITIONS:
-        raise ConfigError(f"unknown probe position {position!r}; want one of {POSITIONS}")
-    feats, targets, ids = [], [], []
+    feats = {position: [] for position in POSITIONS}
+    targets, ids = [], []
     for index, inst in enumerate(instances):
         trace = model.forward(inst.image, inst.visible)
-        if position == "pre_fusion":
-            x = trace.tokens.data
-        elif position == "post_fusion":
-            x = trace.fused.data
-        else:
-            rng = np.random.default_rng(derive_seed(seed, "probe-random", index))
-            x = rng.standard_normal(trace.tokens.data.shape)
-        feats.append(np.asarray(x))
+        rng = np.random.default_rng(derive_seed(seed, "probe-random", index))
+        feats["pre_fusion"].append(trace.tokens.data)
+        feats["post_fusion"].append(trace.fused.data)
+        feats["random_baseline"].append(rng.standard_normal(trace.tokens.data.shape))
         targets.append(trace.sdf_tokens)
         ids.append(np.full(trace.sdf_tokens.shape[0], index))
-    return np.concatenate(feats), np.concatenate(targets), np.concatenate(ids)
+    features = {position: np.concatenate(f) for position, f in feats.items()}
+    return features, np.concatenate(targets), np.concatenate(ids)
 
 
 def ridge_fit(features: np.ndarray, targets: np.ndarray, lam: float = 1.0):
@@ -126,11 +122,9 @@ def split_instances(n_instances: int, seed: int, test_frac: float = 0.2):
     return np.sort(order[n_test:]), np.sort(order[:n_test])
 
 
-def probe_position(model: GraspModel, instances, position: str, lam: float = 1.0,
-                   seed: int = 0, test_frac: float = 0.2):
-    """Fit one probe; returns (ProbeResult, test_true, test_pred)."""
-    x, y, ids = extract_probe_set(model, instances, position, seed=seed)
-    train_ids, test_ids = split_instances(len(instances), seed, test_frac)
+def _fit(position, x, y, ids, n_instances, lam, seed, test_frac):
+    """Fit one position's probe on the instance split; returns (ProbeResult, true, pred)."""
+    train_ids, test_ids = split_instances(n_instances, seed, test_frac)
     in_train = np.isin(ids, train_ids)
     in_test = np.isin(ids, test_ids)
     w, intercept = ridge_fit(x[in_train], y[in_train], lam)
@@ -149,13 +143,24 @@ def probe_position(model: GraspModel, instances, position: str, lam: float = 1.0
     return result, true, pred
 
 
+def probe_position(model: GraspModel, instances, position: str, lam: float = 1.0,
+                   seed: int = 0, test_frac: float = 0.2):
+    """Fit one probe; returns (ProbeResult, test_true, test_pred)."""
+    if position not in POSITIONS:
+        raise ConfigError(f"unknown probe position {position!r}; want one of {POSITIONS}")
+    feats, y, ids = extract_probe_set(model, instances, seed=seed)
+    return _fit(position, feats[position], y, ids, len(instances), lam, seed, test_frac)
+
+
 def probe_report(model: GraspModel, instances, lam: float = 1.0, seed: int = 0,
                  test_frac: float = 0.2, pairs_position: str = "post_fusion") -> dict:
-    """Probe every position; returns a report dict with (true, pred) pairs."""
+    """Probe every position from one forward pass per instance; returns a report dict."""
+    feats, y, ids = extract_probe_set(model, instances, seed=seed)
     results = {}
     pairs = None
     for position in POSITIONS:
-        result, true, pred = probe_position(model, instances, position, lam, seed, test_frac)
+        result, true, pred = _fit(position, feats[position], y, ids, len(instances), lam, seed,
+                                  test_frac)
         results[position] = result
         if position == pairs_position:
             pairs = np.stack([true, pred], axis=1)

@@ -15,7 +15,7 @@ run is bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -116,13 +116,7 @@ class TrainConfig:
             raise ConfigError(f"clean_vm_prob {self.clean_vm_prob} outside [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "steps": self.steps, "batch": self.batch, "lr": self.lr,
-            "weight_decay": self.weight_decay, "beta1": self.beta1,
-            "beta2": self.beta2, "eps": self.eps, "seed": self.seed,
-            "clean_vm_prob": self.clean_vm_prob, "occ_weight": self.occ_weight,
-            "ckpt_every": self.ckpt_every,
-        }
+        return asdict(self)
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:

@@ -4,6 +4,7 @@ dataset generation through SDF export."""
 
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 
 from grasp import __version__
 from grasp.cli import main
+from grasp.model import GraspConfig, GraspModel
 from grasp.pgm import read_pgm
 
 SMALL_CONFIG = {
@@ -92,22 +94,6 @@ def test_malformed_config_file_is_a_data_error(tmp_path, capsys):
     rc = main(["gen", "--out", str(tmp_path / "d2"), "--n", "2",
                "--config", str(notdict)])
     assert rc == 1
-
-
-def test_thread_cap_env_is_validated(tmp_path, capsys, monkeypatch):
-    cfg = _write_config(tmp_path)
-    monkeypatch.setenv("GRASP_THREADS", "0")
-    assert main(["gen", "--out", str(tmp_path / "a"), "--n", "2",
-                 "--config", cfg]) == 1
-    assert capsys.readouterr().err.startswith("error:GraspError:")
-
-    monkeypatch.setenv("GRASP_THREADS", "seven")
-    assert main(["gen", "--out", str(tmp_path / "b"), "--n", "2",
-                 "--config", cfg]) == 1
-
-    monkeypatch.setenv("GRASP_THREADS", "3")
-    assert main(["gen", "--out", str(tmp_path / "c"), "--n", "2",
-                 "--config", cfg]) == 0
 
 
 # -- generation ---------------------------------------------------------------
@@ -268,3 +254,40 @@ def test_eval_gate_override_flag_lands_in_report(tmp_path, capsys):
                  "--out", str(out), "--gate-override", "1.0"]) == 0
     capsys.readouterr()
     assert json.loads((out / "report.json").read_text())["gate_override"] == 1.0
+
+
+def test_sdf_meta_is_the_same_from_any_directory(tmp_path, capsys, monkeypatch):
+    data = _gen(tmp_path, "data", config=_write_config(tmp_path))
+    metas = []
+    for name in ("a", "b"):
+        work = tmp_path / name
+        work.mkdir()
+        shutil.copy(data / "vis_000000.pgm", work / "mask.pgm")
+        monkeypatch.chdir(work)
+        assert main(["sdf", "--mask", "mask.pgm", "--out", "sdf"]) == 0
+        metas.append((work / "sdf" / "sdf_meta.json").read_bytes())
+    capsys.readouterr()
+    assert metas[0] == metas[1]
+    assert json.loads(metas[0])["mask"] == "mask.pgm"
+
+
+def test_analysis_commands_run_one_forward_per_instance(tmp_path, capsys, monkeypatch):
+    data = _gen(tmp_path, "data", n=4, config=_write_config(tmp_path))
+    ckpt = tmp_path / "model.ckpt"
+    GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0).save(ckpt)
+    calls = []
+    forward = GraspModel.forward
+
+    def counting_forward(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraspModel, "forward", counting_forward)
+    for argv in (["ablate", "--out", str(tmp_path / "ablate.csv")],
+                 ["ablate", "--protocol", "standard", "--pp", "--out", str(tmp_path / "pp.csv")],
+                 ["probe", "--out", str(tmp_path / "probe")],
+                 ["stats", "--out", str(tmp_path / "stats.json")]):
+        calls.clear()
+        assert main(argv + ["--ckpt", str(ckpt), "--data", str(data)]) == 0
+        assert len(calls) == 4, argv
+    capsys.readouterr()

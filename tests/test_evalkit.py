@@ -353,6 +353,15 @@ def test_ablate_matches_direct_evaluate():
         assert report.rows == direct.rows
         assert report.gate_stats is None
 
+    # re-gated overrides and two-pass sweeps match their own evaluate too
+    model.params.groups["vm_attention"]["gamma"].data[...] = 0.3
+    model.params.groups["gate"]["alpha"].data[...] = 2.0
+    for options in ({"use_postprocess": True, "eval_seed": 3}, {"use_two_pass": True}):
+        for override, report in ablate(model, insts, "standard", **options):
+            direct = evaluate(model, insts, "standard", gate_override=override,
+                              collect_stats=False, **options)
+            assert report.to_dict() == direct.to_dict(), (options, override)
+
 
 # -- gate statistics ----------------------------------------------------------
 

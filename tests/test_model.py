@@ -1,6 +1,7 @@
 """Model pipeline: initialization identities, gating, decoder flow,
 parameter accounting, checkpoints, and a whole-model gradient check."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -224,6 +225,28 @@ def test_configured_override_is_the_default_and_none_disables_it():
     assert np.all(m.forward(inst.image, inst.visible).gate.data == 1.0)
     tr = m.forward(inst.image, inst.visible, gate_override=None)
     assert np.all(tr.gate.data == 0.5)  # untrained sigmoid
+
+
+@pytest.mark.parametrize("query_mod", [False, True])
+def test_regate_equals_forward_bit_for_bit(query_mod):
+    cfg = GraspConfig(image_size=16, patch=8, dim=8, heads=2, n_prototypes=4, vm_hidden=4,
+                      decoder_hidden=8, sdf_query_mod=query_mod, gate_override=0.25)
+    m = GraspModel(cfg, seed=2)
+    _set(m.params.groups["vm_attention"]["gamma"], 0.3)
+    _set(m.params.groups["gate"]["alpha"], 2.0)
+    _set(m.params.groups["gate"]["beta"], -0.5)
+    _set(m.params.groups["sdf_query"]["direction"], np.linspace(-1.0, 1.0, cfg.dim))
+    inst = _small_scene()
+    learned = m.forward(inst.image, inst.visible, gate_override=None)
+    learned_gate = learned.gate.data.copy()
+    for override in (0.0, 0.5, 1.0, "config", None):
+        regated = m.regate(learned, override)
+        fresh = m.forward(inst.image, inst.visible, gate_override=override)
+        for f in dataclasses.fields(fresh):
+            a, b = getattr(regated, f.name), getattr(fresh, f.name)
+            a, b = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (override, f.name)
+        assert np.array_equal(learned.gate.data, learned_gate)  # regate leaves its input alone
 
 
 def test_residual_is_prior_minus_fused():

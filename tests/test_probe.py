@@ -166,9 +166,11 @@ def test_split_validation():
 def test_extract_shapes_and_instance_ids():
     model = GraspModel(SMALL, seed=0)
     insts = _instances(3)
-    x, y, ids = extract_probe_set(model, insts, "pre_fusion")
+    feats, y, ids = extract_probe_set(model, insts)
     n_tokens = SMALL.tokens
-    assert x.shape == (len(insts) * n_tokens, SMALL.dim)
+    assert set(feats) == set(POSITIONS)
+    for x in feats.values():
+        assert x.shape == (len(insts) * n_tokens, SMALL.dim)
     assert y.shape == (len(insts) * n_tokens,)
     assert ids.shape == y.shape
     expect = np.repeat(np.arange(len(insts)), n_tokens)
@@ -181,31 +183,31 @@ def test_extract_positions_agree_at_init_then_diverge():
     # post-fusion tokens start out identical
     model = GraspModel(SMALL, seed=0)
     insts = _instances(2)
-    pre, y_pre, _ = extract_probe_set(model, insts, "pre_fusion")
-    post, y_post, _ = extract_probe_set(model, insts, "post_fusion")
-    assert np.array_equal(pre, post)
-    assert np.array_equal(y_pre, y_post)
+    feats, _, _ = extract_probe_set(model, insts)
+    pre = feats["pre_fusion"]
+    assert np.array_equal(pre, feats["post_fusion"])
     model.params.groups["vm_attention"]["gamma"].data[...] = 0.5
-    post2, _, _ = extract_probe_set(model, insts, "post_fusion")
-    assert not np.array_equal(pre, post2)
+    feats2, _, _ = extract_probe_set(model, insts)
+    assert np.array_equal(pre, feats2["pre_fusion"])
+    assert not np.array_equal(pre, feats2["post_fusion"])
 
 
 def test_random_baseline_is_seeded_noise():
     model = GraspModel(SMALL, seed=0)
     insts = _instances(2)
-    a, _, _ = extract_probe_set(model, insts, "random_baseline", seed=3)
-    b, _, _ = extract_probe_set(model, insts, "random_baseline", seed=3)
-    c, _, _ = extract_probe_set(model, insts, "random_baseline", seed=4)
-    tok, _, _ = extract_probe_set(model, insts, "pre_fusion")
+    feats, _, _ = extract_probe_set(model, insts, seed=3)
+    a, tok = feats["random_baseline"], feats["pre_fusion"]
+    b = extract_probe_set(model, insts, seed=3)[0]["random_baseline"]
+    c = extract_probe_set(model, insts, seed=4)[0]["random_baseline"]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, tok)
 
 
-def test_extract_position_is_validated():
+def test_probe_position_is_validated():
     model = GraspModel(SMALL, seed=0)
     with pytest.raises(ConfigError):
-        extract_probe_set(model, _instances(1), "mid_fusion")
+        probe_position(model, _instances(1), "mid_fusion")
 
 
 # -- probe integration --------------------------------------------------------
