@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, evalkit, probe as probe_mod
-from .errors import GraspError
+from .errors import ConfigError, GraspError
 from .geometry import read_mask, sdf, sdf_to_csv, sdf_to_pgm
 from .model import GraspConfig, GraspModel, load_checkpoint
 from .pgm import write_pgm
@@ -41,6 +41,8 @@ def _load_config_file(path) -> dict:
 
 def _merge(section: dict, overrides: dict) -> dict:
     """Config-file section, with explicitly set flags winning."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section must be a JSON object, got {type(section).__name__}")
     merged = dict(section)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     return merged
@@ -78,8 +80,8 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
     model_cfg = GraspConfig.from_dict(file_cfg.get("model", {}))
-    train_cfg = TrainConfig(
-        **_merge(
+    train_cfg = TrainConfig.from_dict(
+        _merge(
             file_cfg.get("train", {}),
             {"steps": args.steps, "batch": args.batch, "lr": args.lr, "seed": args.seed},
         )

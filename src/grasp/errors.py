@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise
+them for config dicts and stored JSON records."""
+
+from dataclasses import fields
 
 
 class GraspError(Exception):
@@ -28,3 +31,26 @@ class TrainingDiverged(GraspError, RuntimeError):
         super().__init__(f"non-finite loss at step {step}: {breakdown}")
         self.step = step
         self.breakdown = breakdown
+
+
+def config_from_dict(cls, d):
+    """Build the config dataclass ``cls`` from a dict, rejecting unknown keys."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} needs a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys {unknown}")
+    try:
+        return cls(**d)
+    except TypeError as exc:
+        raise ConfigError(f"{cls.__name__}: ill-typed value ({exc})") from exc
+
+
+def check_fields(record, fields: dict, what: str, error: type) -> None:
+    """Raise ``error`` unless each named field of a JSON record has its type."""
+    if not isinstance(record, dict):
+        raise error(f"{what} is not a JSON object")
+    for key, kind in fields.items():
+        value = record.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise error(f"{what} field {key!r} is missing or not {kind.__name__}")

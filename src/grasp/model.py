@@ -34,13 +34,14 @@ or the prototype mixture) so ablations are exact.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError, IntegrityError
+from .errors import ConfigError, DimensionError, IntegrityError, check_fields, config_from_dict
 from .geometry import BinaryMask, pool_to_grid, sdf
 from .seeding import derive_seed
 from .tensor import AttentionParams, Tensor
@@ -71,6 +72,7 @@ class GraspConfig:
             raise ConfigError("prototype bank must be nonempty")
         if self.vm_hidden < 1 or self.decoder_hidden < 1:
             raise ConfigError("hidden widths must be positive")
+        _check_gate_override(self.gate_override)
 
     @property
     def grid(self) -> int:
@@ -89,7 +91,13 @@ class GraspConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraspConfig":
-        return cls(**d)
+        return config_from_dict(cls, d)
+
+
+def _check_gate_override(value) -> None:
+    """A gate override is None or a finite constant in [0, 1]."""
+    if value is not None and not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+        raise ConfigError(f"gate override {value!r} is not None or a number in [0, 1]")
 
 
 N_FROZEN_BLOCKS = 4
@@ -356,6 +364,7 @@ class GraspModel:
         """
         if gate_override == "config":
             gate_override = self.config.gate_override
+        _check_gate_override(gate_override)
         gate = self.gate(trace.sdf_tokens)
         injected, effective_gate = self.inject(trace.fused, trace.prior, trace.residual, gate,
                                                gate_override)
@@ -410,40 +419,56 @@ def save_checkpoint(path, model: GraspModel, step: int = 0, extra: dict | None =
             fh.write(blob)
 
 
+_HEADER_FIELDS = {"config": dict, "seed": int, "step": int, "params": list}
+_ENTRY_FIELDS = {"group": str, "name": str, "shape": list, "bytes": int}
+
+
 def load_checkpoint(path) -> tuple[GraspModel, int]:
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise IntegrityError(f"{path}: malformed checkpoint header") from exc
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise IntegrityError(f"{path}: unknown checkpoint format {header.get('format')!r}")
-        config = GraspConfig.from_dict(header["config"])
-        model = GraspModel(config, seed=header["seed"])
-        lookup = {(g, n): t for g, n, t in model.params.named_all()}
-        seen = set()
-        for entry in header["params"]:
-            key = (entry["group"], entry["name"])
-            if key not in lookup:
-                raise IntegrityError(f"{path}: unexpected parameter {key}")
-            t = lookup[key]
-            if tuple(entry["shape"]) != t.data.shape:
-                raise IntegrityError(
-                    f"{path}: shape {entry['shape']} for {key} != model {t.data.shape}"
-                )
-            if entry["bytes"] != t.data.size * 8:
-                raise IntegrityError(f"{path}: block size {entry['bytes']} wrong for {key}")
-            blob = fh.read(entry["bytes"])
-            if len(blob) != entry["bytes"]:
-                raise IntegrityError(f"{path}: truncated block for {key}")
-            arr = np.frombuffer(blob, dtype="<f8").reshape(entry["shape"])
-            writeable = t.data.flags.writeable
-            t.data.flags.writeable = True
-            t.data[...] = arr
-            t.data.flags.writeable = writeable
-            seen.add(key)
-        missing = set(lookup) - seen
-        if missing:
-            raise IntegrityError(f"{path}: checkpoint missing parameters {sorted(missing)}")
-    return model, int(header["step"])
+        body = fh.read()
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IntegrityError(f"{path}: malformed checkpoint header") from exc
+    if not isinstance(header, dict):
+        raise IntegrityError(f"{path}: checkpoint header is not a JSON object")
+    if header.get("format") != CHECKPOINT_FORMAT:
+        raise IntegrityError(f"{path}: unknown checkpoint format {header.get('format')!r}")
+    check_fields(header, _HEADER_FIELDS, f"{path}: checkpoint header", IntegrityError)
+    config = GraspConfig.from_dict(header["config"])
+    model = GraspModel(config, seed=header["seed"])
+    lookup = {(g, n): t for g, n, t in model.params.named_all()}
+    seen = set()
+    offset = 0
+    what = f"{path}: parameter entry"
+    for entry in header["params"]:
+        check_fields(entry, _ENTRY_FIELDS, what, IntegrityError)
+        key = (entry["group"], entry["name"])
+        if key not in lookup:
+            raise IntegrityError(f"{path}: unexpected parameter {key}")
+        t = lookup[key]
+        if tuple(entry["shape"]) != t.data.shape:
+            raise IntegrityError(
+                f"{path}: shape {entry['shape']} for {key} != model {t.data.shape}"
+            )
+        if entry["bytes"] != t.data.size * 8:
+            raise IntegrityError(f"{path}: block size {entry['bytes']} wrong for {key}")
+        if offset + entry["bytes"] > len(body):
+            raise IntegrityError(f"{path}: truncated block for {key}")
+        arr = np.frombuffer(body, dtype="<f8", count=t.data.size, offset=offset)
+        writeable = t.data.flags.writeable
+        t.data.flags.writeable = True
+        t.data[...] = arr.reshape(t.data.shape)
+        t.data.flags.writeable = writeable
+        offset += entry["bytes"]
+        seen.add(key)
+    missing = set(lookup) - seen
+    if missing:
+        raise IntegrityError(f"{path}: checkpoint missing parameters {sorted(missing)}")
+    if offset != len(body):
+        raise IntegrityError(f"{path}: trailing bytes after the last parameter block")
+    # one check over every block: a NaN or infinite parameter is corrupt data
+    if not np.isfinite(np.frombuffer(body, dtype="<f8")).all():
+        raise IntegrityError(f"{path}: non-finite parameter value")
+    return model, header["step"]

@@ -24,7 +24,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import pgm
-from .errors import ConfigError, DatasetIOError, DimensionError, IntegrityError
+from .errors import (
+    ConfigError,
+    DatasetIOError,
+    DimensionError,
+    IntegrityError,
+    check_fields,
+    config_from_dict,
+)
 from .geometry import BinaryMask, mask_diff, read_mask, write_mask
 
 SHAPE_CLASSES = ("rectangle", "ellipse", "triangle", "l_shape")
@@ -66,10 +73,9 @@ class SceneConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneConfig":
-        d = dict(d)
-        if "shapes" in d:
-            d["shapes"] = tuple(d["shapes"])
-        return cls(**d)
+        if isinstance(d, dict) and isinstance(d.get("shapes"), list):
+            d = {**d, "shapes": tuple(d["shapes"])}
+        return config_from_dict(cls, d)
 
 
 @dataclass(frozen=True)
@@ -391,6 +397,12 @@ def write_dataset(
     return manifest
 
 
+_MANIFEST_FIELDS = {"height": int, "width": int, "count": int, "split": str, "base_seed": int,
+                    "config": dict, "instances": list}
+_ENTRY_FIELDS = {"id": int, "image": str, "visible": str, "amodal": str, "shape_class": str,
+                 "occ_ratio": float, "seed": int}
+
+
 def read_dataset(data_dir) -> tuple[DatasetManifest, list[SceneInstance]]:
     manifest_path = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
@@ -400,11 +412,15 @@ def read_dataset(data_dir) -> tuple[DatasetManifest, list[SceneInstance]]:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DatasetIOError(f"{manifest_path}: malformed JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise DatasetIOError(f"{manifest_path}: manifest is not a JSON object")
     if raw.get("format") != DATASET_FORMAT:
         raise DatasetIOError(f"{manifest_path}: unknown format {raw.get('format')!r}")
+    check_fields(raw, _MANIFEST_FIELDS, f"{manifest_path}: manifest", DatasetIOError)
     h, w = raw["height"], raw["width"]
     instances = []
-    for entry in raw["instances"]:
+    for i, entry in enumerate(raw["instances"]):
+        check_fields(entry, _ENTRY_FIELDS, f"{manifest_path}: instance entry {i}", DatasetIOError)
         image_u8 = pgm.read_pgm(os.path.join(data_dir, entry["image"]))
         visible = read_mask(os.path.join(data_dir, entry["visible"]))
         amodal = read_mask(os.path.join(data_dir, entry["amodal"]))

@@ -8,18 +8,20 @@ broadcasting, no views escape into user code, and matmul is strictly
 two-dimensional.
 
 Differentiation uses a tape.  Every operation whose output needs a
-gradient records a node holding its parent tensors and a pullback that
-maps the output gradient onto the parents.  Creation order is already a
+gradient keeps, on the output tensor, its (parent, pull) pairs: ``pull``
+maps the output gradient onto that parent.  Creation order is already a
 topological order (an operation's inputs exist before its output), so
-the backward sweep simply visits the recorded nodes reachable from the
-root once each, in descending creation order.  Gradients accumulate
+the backward sweep simply visits the interior tensors reachable from
+the root once each, in descending creation order.  Gradients accumulate
 additively, which makes fan-out and cross-graph accumulation (for
 batched losses) fall out naturally.
 
 Tensors created with ``requires_grad=False`` are frozen: their backing
-arrays are marked read-only at construction.  Gradient accumulators are
-allocated at construction for every tensor that requires a gradient and
-are only ever added to; call :func:`zero_grads` between optimizer steps.
+arrays are marked read-only at construction.  Only leaves (parameters:
+tensors built with ``requires_grad=True``) own a gradient buffer, zeroed
+at construction and only ever added to; call :func:`zero_grads` between
+optimizer steps.  Interior gradients exist only inside the backward
+sweep, so a forward pass allocates none.
 
 A single tape is built and swept on one thread; nothing here is
 thread-safe and nothing needs to be at this scale.
@@ -37,41 +39,31 @@ from .errors import ConfigError, DimensionError
 _SEQ = itertools.count()
 
 
-class _Node:
-    """One recorded operation: the parents it read and its pullback."""
-
-    __slots__ = ("name", "parents", "pullback")
-
-    def __init__(self, name, parents, pullback):
-        self.name = name
-        self.parents = parents
-        self.pullback = pullback
-
-
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "node", "seq")
+    __slots__ = ("data", "grad", "requires_grad", "pairs", "seq")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
         self._init(arr, requires_grad, None)
 
     @classmethod
-    def _wrap(cls, arr, requires_grad, node):
+    def _wrap(cls, arr, requires_grad, pairs):
         # Internal constructor that takes ownership of ``arr`` (no copy).
         arr = np.asarray(arr, dtype=np.float64)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         t = object.__new__(cls)
-        t._init(arr, requires_grad, node)
+        t._init(arr, requires_grad, pairs)
         return t
 
-    def _init(self, arr, requires_grad, node):
+    def _init(self, arr, requires_grad, pairs):
         if not requires_grad:
             arr.flags.writeable = False
         self.data = arr
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        # leaves keep an accumulator; interior gradients live in the sweep
+        self.grad = np.zeros_like(arr) if requires_grad and pairs is None else None
         self.requires_grad = requires_grad
-        self.node = node
+        self.pairs = pairs
         self.seq = next(_SEQ)
 
     # -- introspection ------------------------------------------------
@@ -170,11 +162,11 @@ class Tensor:
 
 
 class Tape:
-    """The operations reachable from a root, in creation order.
+    """The interior tensors reachable from a root, in creation order.
 
     Creation order is a topological order of the graph, so sweeping the
     list in reverse runs every pullback after the full output gradient
-    of its node has accumulated.  Each node is visited exactly once.
+    of its tensor has accumulated.  Each tensor is visited exactly once.
     """
 
     __slots__ = ("tensors",)
@@ -189,20 +181,28 @@ class Tape:
         stack = [root]
         while stack:
             t = stack.pop()
-            if id(t) in seen or t.node is None:
+            if id(t) in seen or t.pairs is None:
                 continue
             seen.add(id(t))
             found.append(t)
-            stack.extend(t.node.parents)
+            stack.extend(p for p, _ in t.pairs)
         found.sort(key=lambda t: t.seq)
         return cls(found)
 
     def run_backward(self):
         for t in reversed(self.tensors):
-            t.node.pullback(t.grad)
-            # interior gradients are consumed by the sweep; only leaves keep
-            # accumulating across backward calls
-            t.grad[...] = 0.0
+            # the sweep owns interior gradients: take this one off its tensor
+            g, t.grad = t.grad, None
+            for p, pull in t.pairs:
+                c = pull(g)
+                if p.pairs is None:
+                    p.grad += c
+                elif p.grad is None:
+                    p.grad = c
+                else:
+                    # never in place: a pull may return g itself or a view of it,
+                    # so two parents can hold the same array
+                    p.grad = p.grad + c
 
 
 def backward(root: Tensor, seed=None):
@@ -214,14 +214,17 @@ def backward(root: Tensor, seed=None):
             raise DimensionError(
                 f"backward() without a seed gradient needs a scalar root, got shape {root.shape}"
             )
-        root.grad += 1.0
+        seed = np.ones(root.data.shape)
     else:
-        seed = np.asarray(seed, dtype=np.float64)
+        seed = np.array(seed, dtype=np.float64)
         if seed.shape != root.data.shape:
             raise DimensionError(
                 f"seed gradient shape {seed.shape} does not match root shape {root.shape}"
             )
+    if root.pairs is None:
         root.grad += seed
+    else:
+        root.grad = seed
     Tape.trace(root).run_backward()
 
 
@@ -256,23 +259,14 @@ def _fit(g, t: Tensor):
     return g
 
 
-def _attach(arr, name, pairs):
-    """Build the output tensor; record a node if any parent needs grads.
+def _attach(arr, pairs):
+    """Build the output tensor, keeping the pulls of parents that need grads.
 
     ``pairs`` is a list of (parent, pull) where ``pull`` maps the output
     gradient to that parent's contribution.
     """
-    if not any(p.requires_grad for p, _ in pairs):
-        return Tensor._wrap(arr, False, None)
-
-    parents = tuple(p for p, _ in pairs)
-
-    def pullback(g):
-        for p, pull in pairs:
-            if p.requires_grad:
-                p.grad += pull(g)
-
-    return Tensor._wrap(arr, True, _Node(name, parents, pullback))
+    pairs = [(p, pull) for p, pull in pairs if p.requires_grad]
+    return Tensor._wrap(arr, bool(pairs), pairs or None)
 
 
 # -- arithmetic ---------------------------------------------------------
@@ -282,25 +276,21 @@ def add(a, b):
     a, b = _coerce(a), _coerce(b)
     _check_elementwise("add", a, b)
     out = a.data + b.data
-    return _attach(out, "add", [(a, lambda g: _fit(g, a)), (b, lambda g: _fit(g, b))])
+    return _attach(out, [(a, lambda g: _fit(g, a)), (b, lambda g: _fit(g, b))])
 
 
 def sub(a, b):
     a, b = _coerce(a), _coerce(b)
     _check_elementwise("sub", a, b)
     out = a.data - b.data
-    return _attach(out, "sub", [(a, lambda g: _fit(g, a)), (b, lambda g: _fit(-g, b))])
+    return _attach(out, [(a, lambda g: _fit(g, a)), (b, lambda g: _fit(-g, b))])
 
 
 def mul(a, b):
     a, b = _coerce(a), _coerce(b)
     _check_elementwise("mul", a, b)
     out = a.data * b.data
-    return _attach(
-        out,
-        "mul",
-        [(a, lambda g: _fit(g * b.data, a)), (b, lambda g: _fit(g * a.data, b))],
-    )
+    return _attach(out, [(a, lambda g: _fit(g * b.data, a)), (b, lambda g: _fit(g * a.data, b))])
 
 
 def div(a, b):
@@ -309,7 +299,6 @@ def div(a, b):
     out = a.data / b.data
     return _attach(
         out,
-        "div",
         [
             (a, lambda g: _fit(g / b.data, a)),
             (b, lambda g: _fit(-g * a.data / (b.data * b.data), b)),
@@ -319,7 +308,7 @@ def div(a, b):
 
 def neg(a):
     a = _coerce(a)
-    return _attach(-a.data, "neg", [(a, lambda g: -g)])
+    return _attach(-a.data, [(a, lambda g: -g)])
 
 
 def matmul(a, b):
@@ -331,18 +320,14 @@ def matmul(a, b):
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul: shapes {a.data.shape} and {b.data.shape} do not chain")
     out = a.data @ b.data
-    return _attach(
-        out,
-        "matmul",
-        [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)],
-    )
+    return _attach(out, [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)])
 
 
 def transpose(a):
     a = _coerce(a)
     if a.data.ndim != 2:
         raise DimensionError(f"transpose needs a 2-d tensor, got shape {a.data.shape}")
-    return _attach(a.data.T.copy(), "transpose", [(a, lambda g: g.T)])
+    return _attach(a.data.T.copy(), [(a, lambda g: g.T)])
 
 
 # -- pointwise nonlinearities -------------------------------------------
@@ -360,31 +345,31 @@ def _sigmoid_arr(x):
 def sigmoid(a):
     a = _coerce(a)
     y = _sigmoid_arr(a.data)
-    return _attach(y, "sigmoid", [(a, lambda g: g * y * (1.0 - y))])
+    return _attach(y, [(a, lambda g: g * y * (1.0 - y))])
 
 
 def relu(a):
     a = _coerce(a)
     mask = a.data > 0
-    return _attach(np.where(mask, a.data, 0.0), "relu", [(a, lambda g: g * mask)])
+    return _attach(np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
 
 
 def tanh(a):
     a = _coerce(a)
     y = np.tanh(a.data)
-    return _attach(y, "tanh", [(a, lambda g: g * (1.0 - y * y))])
+    return _attach(y, [(a, lambda g: g * (1.0 - y * y))])
 
 
 def softplus(a):
     """log(1 + exp(x)), evaluated stably for large |x|."""
     a = _coerce(a)
     out = np.logaddexp(0.0, a.data)
-    return _attach(out, "softplus", [(a, lambda g: g * _sigmoid_arr(a.data))])
+    return _attach(out, [(a, lambda g: g * _sigmoid_arr(a.data))])
 
 
 def absolute(a):
     a = _coerce(a)
-    return _attach(np.abs(a.data), "abs", [(a, lambda g: g * np.sign(a.data))])
+    return _attach(np.abs(a.data), [(a, lambda g: g * np.sign(a.data))])
 
 
 def softmax(a, axis):
@@ -398,7 +383,7 @@ def softmax(a, axis):
     def pull(g):
         return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
-    return _attach(y, "softmax", [(a, pull)])
+    return _attach(y, [(a, pull)])
 
 
 # -- reductions and structure -------------------------------------------
@@ -407,14 +392,14 @@ def softmax(a, axis):
 def tsum(a):
     a = _coerce(a)
     out = np.array(a.data.sum())
-    return _attach(out, "sum", [(a, lambda g: np.full(a.data.shape, float(g)))])
+    return _attach(out, [(a, lambda g: np.full(a.data.shape, float(g)))])
 
 
 def tmean(a):
     a = _coerce(a)
     n = a.data.size
     out = np.array(a.data.mean())
-    return _attach(out, "mean", [(a, lambda g: np.full(a.data.shape, float(g) / n))])
+    return _attach(out, [(a, lambda g: np.full(a.data.shape, float(g) / n))])
 
 
 def reshape(a, shape):
@@ -422,7 +407,7 @@ def reshape(a, shape):
     if int(np.prod(shape)) != a.data.size:
         raise DimensionError(f"reshape: cannot view shape {a.data.shape} as {tuple(shape)}")
     out = a.data.reshape(shape).copy()
-    return _attach(out, "reshape", [(a, lambda g: g.reshape(a.data.shape))])
+    return _attach(out, [(a, lambda g: g.reshape(a.data.shape))])
 
 
 def concat(tensors, axis):
@@ -448,7 +433,7 @@ def concat(tensors, axis):
             return g[tuple(index)]
 
         pairs.append((t, pull))
-    return _attach(out, "concat", pairs)
+    return _attach(out, pairs)
 
 
 def cols(a, start, stop):
@@ -465,7 +450,7 @@ def cols(a, start, stop):
         full[:, start:stop] = g
         return full
 
-    return _attach(out, "cols", [(a, pull)])
+    return _attach(out, [(a, pull)])
 
 
 def scale_rows(a, s):
@@ -478,7 +463,6 @@ def scale_rows(a, s):
     out = a.data * s.data[:, None]
     return _attach(
         out,
-        "scale_rows",
         [
             (a, lambda g: g * s.data[:, None]),
             (s, lambda g: (g * a.data).sum(axis=1)),
@@ -494,11 +478,7 @@ def add_rowvec(a, b):
             f"add_rowvec: shapes {a.data.shape} and {b.data.shape} are incompatible"
         )
     out = a.data + b.data[None, :]
-    return _attach(
-        out,
-        "add_rowvec",
-        [(a, lambda g: g), (b, lambda g: g.sum(axis=0))],
-    )
+    return _attach(out, [(a, lambda g: g), (b, lambda g: g.sum(axis=0))])
 
 
 def depatchify(a, grid_h, grid_w, patch):
@@ -527,7 +507,7 @@ def depatchify(a, grid_h, grid_w, patch):
             .reshape(grid_h * grid_w, patch * patch)
         )
 
-    return _attach(out, "depatchify", [(a, pull)])
+    return _attach(out, [(a, pull)])
 
 
 def patchify(image: np.ndarray, patch: int) -> np.ndarray:

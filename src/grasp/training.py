@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, IntegrityError, TrainingDiverged
+from .errors import ConfigError, IntegrityError, TrainingDiverged, config_from_dict
 from .geometry import BinaryMask, mask_diff
 from .model import ForwardTrace, GraspModel, save_checkpoint
 from .seeding import derive_seed
@@ -112,11 +112,24 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch < 1:
             raise ConfigError("steps and batch must be positive")
-        if not (0.0 <= self.clean_vm_prob <= 1.0):
-            raise ConfigError(f"clean_vm_prob {self.clean_vm_prob} outside [0, 1]")
+        for name, ok, want in (
+            ("clean_vm_prob", 0.0 <= self.clean_vm_prob <= 1.0, "in [0, 1]"),
+            ("lr", 0.0 < self.lr < math.inf, "finite and > 0"),
+            ("eps", 0.0 < self.eps < math.inf, "finite and > 0"),
+            ("weight_decay", 0.0 <= self.weight_decay < math.inf, "finite and >= 0"),
+            ("occ_weight", 0.0 <= self.occ_weight < math.inf, "finite and >= 0"),
+            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} {getattr(self, name)!r} must be {want}")
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainConfig":
+        return config_from_dict(cls, d)
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:

@@ -1,8 +1,17 @@
-"""Shared test helpers: finite-difference gradient checking."""
+"""Shared test helpers: finite-difference gradient checking.
 
-import numpy as np
+The suite runs BLAS on one thread, as the benchmark does: the model's
+matrices are small, and criterion 03's time bound assumes one thread
+when the CPU is busy.  The variable must be set before numpy loads.
+"""
 
-from grasp.tensor import backward, zero_grads
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+from grasp.tensor import backward, zero_grads  # noqa: E402
 
 FD_EPS = 1e-5
 FD_TOL = 1e-6

@@ -291,3 +291,67 @@ def test_analysis_commands_run_one_forward_per_instance(tmp_path, capsys, monkey
         assert main(argv + ["--ckpt", str(ckpt), "--data", str(data)]) == 0
         assert len(calls) == 4, argv
     capsys.readouterr()
+
+
+# -- malformed inputs end in one error line -----------------------------------
+
+
+def _rewrite_checkpoint(src, dst, fix_header=lambda h: None, fix_body=lambda b: b):
+    with open(src, "rb") as fh:
+        header = json.loads(fh.readline())
+        body = fh.read()
+    fix_header(header)
+    with open(dst, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n" + fix_body(body))
+
+
+def _nan_first_block(body):
+    return b"\x00\x00\x00\x00\x00\x00\xf8\x7f" + body[8:]
+
+
+def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    data = _gen(tmp_path, "data", n=4, config=cfg)
+    ckpt = tmp_path / "model.ckpt"
+    GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0).save(ckpt)
+
+    bad_ckpts = {
+        "extra_config_key": dict(fix_header=lambda h: h["config"].update(bogus=1)),
+        "no_seed": dict(fix_header=lambda h: h.pop("seed")),
+        "trailing_bytes": dict(fix_body=lambda b: b + b"\x00"),
+        "nan_param": dict(fix_body=_nan_first_block),
+    }
+    for name, fixes in bad_ckpts.items():
+        _rewrite_checkpoint(ckpt, tmp_path / f"{name}.ckpt", **fixes)
+
+    no_seed_data = tmp_path / "no_seed_data"
+    shutil.copytree(data, no_seed_data)
+    manifest = json.loads((no_seed_data / "manifest.json").read_text())
+    del manifest["instances"][1]["seed"]
+    (no_seed_data / "manifest.json").write_text(json.dumps(manifest))
+
+    (tmp_path / "bogus").mkdir()
+    bogus_model = _write_config(tmp_path / "bogus", {**SMALL_CONFIG, "model": {"bogus": 1}})
+    eval_argv = ["eval", "--data", str(data), "--out", str(tmp_path / "rep")]
+    cases = [
+        (["train", "--data", str(data), "--out", str(tmp_path / "t.ckpt"),
+          "--config", bogus_model], "ConfigError"),
+        (["train", "--data", str(data), "--out", str(tmp_path / "t.ckpt"),
+          "--config", cfg, "--lr", "nan"], "ConfigError"),
+        (eval_argv + ["--ckpt", str(ckpt), "--gate-override", "nan"], "ConfigError"),
+        (eval_argv + ["--ckpt", str(ckpt), "--gate-override", "2.0"], "ConfigError"),
+        (eval_argv + ["--ckpt", str(tmp_path / "extra_config_key.ckpt")], "ConfigError"),
+        (eval_argv + ["--ckpt", str(tmp_path / "no_seed.ckpt")], "IntegrityError"),
+        (eval_argv + ["--ckpt", str(tmp_path / "trailing_bytes.ckpt")], "IntegrityError"),
+        (eval_argv + ["--ckpt", str(tmp_path / "nan_param.ckpt")], "IntegrityError"),
+        (["eval", "--ckpt", str(ckpt), "--data", str(no_seed_data),
+          "--out", str(tmp_path / "rep")], "DatasetIOError"),
+    ]
+    capsys.readouterr()
+    for argv, kind in cases:
+        assert main(argv) == 1, argv
+        out = capsys.readouterr()
+        lines = out.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error:{kind}:"), (argv, out.err)
+    assert not (tmp_path / "rep").exists()
+    assert not (tmp_path / "t.ckpt").exists()

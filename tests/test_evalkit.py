@@ -521,3 +521,16 @@ def test_report_csv_cells_round_trip(tmp_path):
         assert cells[6] == ""  # stub: mean_gate is None
     assert lines[1].split(",")[5] == ""  # unoccluded: occ_iou empty
     assert float(lines[2].split(",")[5]) == 1.0
+
+
+@pytest.mark.parametrize("value", [float("nan"), 2.0])
+def test_inference_paths_reject_bad_gate_override(value):
+    model = GraspModel(SMALL, seed=0)
+    insts = generate_scene(3, SceneConfig(size=16, min_objects=2, max_objects=2))
+    with pytest.raises(ConfigError):
+        predict(model, insts[0].image, insts[0].visible, gate_override=value)
+    with pytest.raises(ConfigError):
+        two_pass(model, insts[0].image, insts[0].visible, gate_override=value)
+    for kwargs in ({}, {"use_two_pass": True}):
+        with pytest.raises(ConfigError):
+            evaluate(model, insts, "oracle", gate_override=value, **kwargs)

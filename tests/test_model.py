@@ -59,6 +59,27 @@ def test_config_dict_round_trip():
     assert GraspConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_config_from_dict_rejects_unknown_keys():
+    with pytest.raises(ConfigError) as err:
+        GraspConfig.from_dict({"dim": 16, "heads": 2, "bogus": 1})
+    assert "bogus" in str(err.value)
+    with pytest.raises(ConfigError):
+        GraspConfig.from_dict([("dim", 16)])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.25, 1.5, "half"])
+def test_bad_gate_override_is_rejected(value):
+    with pytest.raises(ConfigError):
+        GraspConfig(gate_override=value)
+    m = GraspModel(SMALL, seed=0)
+    inst = _small_scene()
+    with pytest.raises(ConfigError):
+        m.forward(inst.image, inst.visible, gate_override=value)
+    prefix = m.forward(inst.image, inst.visible)
+    with pytest.raises(ConfigError):
+        m.regate(prefix, value)
+
+
 # -- initialization determinism ----------------------------------------------
 
 
@@ -502,3 +523,74 @@ def test_checkpoint_rejects_truncated_body(ckpt):
     with pytest.raises(IntegrityError) as err:
         load_checkpoint(d / "bad.ckpt")
     assert "truncated" in str(err.value)
+
+
+def test_checkpoint_rejects_unknown_config_key(ckpt):
+    p, d = ckpt
+
+    def fix(header, body):
+        header["config"]["bogus"] = 1
+        return body
+
+    _mangle(p, d / "bad.ckpt", fix)
+    with pytest.raises(ConfigError) as err:
+        load_checkpoint(d / "bad.ckpt")
+    assert "bogus" in str(err.value)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", None), ("seed", "0"), ("seed", 1.5), ("step", None), ("step", True),
+    ("params", None), ("params", {}), ("config", None), ("config", []),
+])
+def test_checkpoint_rejects_missing_or_ill_typed_header_field(ckpt, field, value):
+    p, d = ckpt
+
+    def fix(header, body):
+        if value is None:
+            del header[field]
+        else:
+            header[field] = value
+        return body
+
+    _mangle(p, d / "bad.ckpt", fix)
+    with pytest.raises(IntegrityError) as err:
+        load_checkpoint(d / "bad.ckpt")
+    assert repr(field) in str(err.value)
+
+
+@pytest.mark.parametrize("field,value", [("group", None), ("bytes", "64"), ("shape", 8)])
+def test_checkpoint_rejects_ill_typed_parameter_entry(ckpt, field, value):
+    p, d = ckpt
+
+    def fix(header, body):
+        if value is None:
+            del header["params"][2][field]
+        else:
+            header["params"][2][field] = value
+        return body
+
+    _mangle(p, d / "bad.ckpt", fix)
+    with pytest.raises(IntegrityError):
+        load_checkpoint(d / "bad.ckpt")
+
+
+def test_checkpoint_rejects_trailing_bytes(ckpt):
+    p, d = ckpt
+    _mangle(p, d / "bad.ckpt", lambda header, body: body + b"\x00")
+    with pytest.raises(IntegrityError) as err:
+        load_checkpoint(d / "bad.ckpt")
+    assert "trailing" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_parameter(ckpt, bad):
+    p, d = ckpt
+
+    def fix(header, body):
+        # the last block is a trainable parameter; poison its last value
+        return body[:-8] + np.array([bad], dtype="<f8").tobytes()
+
+    _mangle(p, d / "bad.ckpt", fix)
+    with pytest.raises(IntegrityError) as err:
+        load_checkpoint(d / "bad.ckpt")
+    assert "non-finite" in str(err.value)

@@ -158,6 +158,14 @@ def test_scene_config_dict_round_trip():
     assert SceneConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_scene_config_from_dict_rejects_unknown_keys():
+    with pytest.raises(ConfigError) as err:
+        SceneConfig.from_dict({"size": 32, "n_objects": 3})
+    assert "n_objects" in str(err.value)
+    with pytest.raises(ConfigError):
+        SceneConfig.from_dict("size=32")
+
+
 # -- visible-mask perturbation -----------------------------------------------
 
 
@@ -327,6 +335,31 @@ def test_read_dataset_detects_occ_ratio_tampering(tmp_path):
     _tamper(tmp_path, mutate)
     with pytest.raises(IntegrityError):
         read_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("key,value", [("seed", None), ("image", None), ("occ_ratio", None),
+                                       ("image", 5), ("seed", "7")])
+def test_read_dataset_rejects_missing_or_ill_typed_entry_field(tmp_path, key, value):
+    def mutate(raw):
+        if value is None:
+            del raw["instances"][1][key]
+        else:
+            raw["instances"][1][key] = value
+
+    _tamper(tmp_path, mutate)
+    with pytest.raises(DatasetIOError) as err:
+        read_dataset(tmp_path)
+    assert key in str(err.value)
+
+
+def test_read_dataset_rejects_manifest_with_missing_key(tmp_path):
+    def mutate(raw):
+        del raw["height"]
+
+    _tamper(tmp_path, mutate)
+    with pytest.raises(DatasetIOError) as err:
+        read_dataset(tmp_path)
+    assert "height" in str(err.value)
 
 
 def test_read_dataset_detects_count_mismatch(tmp_path):

@@ -8,8 +8,11 @@ import pytest
 
 from conftest import gradcheck
 from grasp.errors import ConfigError, DimensionError
+from grasp.model import GraspConfig, GraspModel
+from grasp.synthdata import SceneConfig, generate_scene
 from grasp.tensor import (
     AttentionParams,
+    Tape,
     Tensor,
     add_rowvec,
     backward,
@@ -271,6 +274,36 @@ def test_backward_twice_accumulates():
     g1 = a.grad.copy()
     y.backward()
     assert np.array_equal(a.grad, 2.0 * g1)
+
+
+def test_shared_interior_gradients_are_never_updated_in_place():
+    # add hands the same gradient object to both parents, so u and s hold one
+    # array; u's second contribution (from s) must not leak into v's through it
+    a = Tensor([[1.0, -2.0]], requires_grad=True)
+    u = a * 2.0
+    v = a * 3.0
+    s = u + v
+    t = s + u
+    t.sum().backward()
+    assert a.grad.tolist() == [[7.0, 7.0]]
+
+
+def test_only_parameters_hold_gradient_buffers():
+    cfg = GraspConfig(image_size=16, patch=8, dim=8, heads=2, n_prototypes=4,
+                      vm_hidden=4, decoder_hidden=8)
+    model = GraspModel(cfg, seed=0)
+    inst = generate_scene(4, SceneConfig(size=16, min_objects=2, max_objects=2))[0]
+    params = model.params.trainable()
+    root = model.forward(inst.image, inst.visible).logits_amodal.sum()
+    interior = Tape.trace(root).tensors
+    assert interior
+    assert all(t.grad is None for t in interior)
+    assert all(t.grad is not None for t in params)
+    root.backward()
+    assert all(t.grad is None for t in interior)
+    assert all(t.grad is not None for t in params)
+    assert any(np.any(t.grad != 0.0) for t in params)
+    assert all(t.grad is None for t in model.params.frozen.values())
 
 
 def test_zero_grads_resets():

@@ -407,6 +407,34 @@ def test_train_config_validation():
         TrainConfig(clean_vm_prob=1.5)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lr", math.nan), ("lr", math.inf), ("lr", 0.0), ("lr", -1e-4),
+    ("eps", math.nan), ("eps", 0.0),
+    ("weight_decay", math.nan), ("weight_decay", math.inf), ("weight_decay", -1e-4),
+    ("occ_weight", math.nan), ("occ_weight", -1.0),
+    ("beta1", math.nan), ("beta1", 1.0), ("beta1", -0.1),
+    ("beta2", math.nan), ("beta2", 1.0),
+    ("clean_vm_prob", math.nan),
+])
+def test_train_config_rejects_non_finite_and_out_of_range_numbers(field, value):
+    with pytest.raises(ConfigError) as err:
+        TrainConfig(**{field: value})
+    assert field in str(err.value)
+
+
+def test_train_config_accepts_range_edges():
+    TrainConfig(weight_decay=0.0, occ_weight=0.0, beta1=0.0, beta2=0.0, clean_vm_prob=1.0)
+
+
+def test_train_config_from_dict_rejects_unknown_and_ill_typed_keys():
+    assert TrainConfig.from_dict({"steps": 3, "lr": 1e-3}) == TrainConfig(steps=3, lr=1e-3)
+    with pytest.raises(ConfigError) as err:
+        TrainConfig.from_dict({"steps": 3, "learning_rate": 1e-3})
+    assert "learning_rate" in str(err.value)
+    with pytest.raises(ConfigError):
+        TrainConfig.from_dict({"steps": "3"})
+
+
 def test_write_loss_csv_round_trip(tmp_path):
     rows = [{"step": 0, "lr": 1e-4, **{k: 0.5 for k in LossBreakdown.FIELDS}},
             {"step": 1, "lr": 0.75e-4, **{k: 1 / 3 for k in LossBreakdown.FIELDS}}]
