@@ -89,6 +89,8 @@ def cmd_train(args) -> int:
     _, instances = read_dataset(args.data)
     model = GraspModel(model_cfg, seed=train_cfg.seed)
     loss_csv = args.loss_csv or (args.out + ".loss.csv")
+    for path in (args.out, loss_csv):
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     result = train(model, instances, train_cfg, ckpt_path=args.out, loss_csv_path=loss_csv)
     print(f"trained {result.steps} steps; final loss {result.final_loss:.6f}; "
           f"checkpoint {args.out}")

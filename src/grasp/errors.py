@@ -33,13 +33,37 @@ class TrainingDiverged(GraspError, RuntimeError):
         self.breakdown = breakdown
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# per field annotation, as written (the config modules postpone annotations):
+# the JSON values it takes, and how to say so
+_FIELD_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a number"),
+    "Optional[float]": (lambda v: v is None or _is_number(v), "null or a number"),
+}
+
+
 def config_from_dict(cls, d):
-    """Build the config dataclass ``cls`` from a dict, rejecting unknown keys."""
+    """Build the config dataclass ``cls`` from a dict.
+
+    Unknown keys are rejected, and so are values of the wrong JSON type:
+    an integer field takes no float or bool, a bool field only a bool,
+    and a float field no bool or string.
+    """
     if not isinstance(d, dict):
         raise ConfigError(f"{cls.__name__} needs a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    annotations = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(d) - set(annotations))
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys {unknown}")
+    for key, value in d.items():
+        accepts, want = _FIELD_TYPES.get(annotations[key], (lambda v: True, None))
+        if not accepts(value):
+            raise ConfigError(f"{cls.__name__}.{key} must be {want}, got {value!r}")
     try:
         return cls(**d)
     except TypeError as exc:

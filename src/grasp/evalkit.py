@@ -80,7 +80,13 @@ def two_pass(model: GraspModel, image: np.ndarray, v_input: BinaryMask,
     estimate from the first pass (amodal minus occluded), or with the
     original input when that estimate is empty.
     """
-    a1, o1, _ = predict(model, image, v_input, threshold, gate_override)
+    first = model.forward(image, v_input, gate_override=gate_override)
+    return _second_pass(model, image, v_input, first, threshold, gate_override)
+
+
+def _second_pass(model, image, v_input, first, threshold, gate_override) -> TwoPassResult:
+    """Two-pass inference given the first pass's trace."""
+    a1, o1 = _masks(first, threshold)
     v_ref = mask_diff(a1, o1)
     fallback = not v_ref.any()
     if fallback:
@@ -207,8 +213,9 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
            collect_stats=True, config_echo=None, version=None) -> list[EvalReport]:
     """One EvalReport per gate override, from one forward pass per instance.
 
-    Later overrides re-gate the first one's trace.  Two-pass inference runs
-    per override, as its second input depends on the first pass's output.
+    Later overrides re-gate the first one's trace.  Under two-pass
+    inference the first passes share it the same way; the second pass
+    runs per override, as its input depends on the first pass's output.
     """
     if protocol not in ("oracle", "standard"):
         raise ConfigError(f"unknown protocol {protocol!r}")
@@ -226,12 +233,14 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
             v_input = inst.visible
             vm_iou = None
 
-        trace = None
+        trace = first = None
         for k, override in enumerate(overrides):
             if not is_model:
                 amodal_pred, occ_pred = model(inst.image, v_input)
             elif use_two_pass:
-                tp = two_pass(model, inst.image, v_input, threshold, override)
+                first = (model.forward(inst.image, v_input, override) if first is None
+                         else model.regate(first, override))
+                tp = _second_pass(model, inst.image, v_input, first, threshold, override)
                 amodal_pred, occ_pred = tp.amodal, tp.occluded
             else:
                 trace = (model.forward(inst.image, v_input, override) if trace is None

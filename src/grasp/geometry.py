@@ -1,12 +1,14 @@
 """Binary masks, exact signed distance fields, pooling, and IoU.
 
 Distances are measured between pixel centers.  The distance transform
-is exact Euclidean, computed separably: a per-column scan finds the
-squared row distance to the nearest true pixel in each column, then a
-broadcast minimum over columns, taken over blocks of rows, adds the
-squared column offset and keeps the smallest sum.  All squared distances
-are integers until the final square root, so the minimum is exact and
-independent of the order in which it is taken.
+is exact Euclidean, computed separably: a per-column scan (two running
+extrema down the rows) finds the squared row distance to the nearest
+true pixel in each column, then a broadcast minimum over columns, taken
+over blocks of rows, adds the squared column offset and keeps the
+smallest sum.  All squared distances are integers until the final
+square root, so the minimum is exact and independent of the order in
+which it is taken; it runs in int32 whenever no candidate sum can reach
+2**31, which leaves every value unchanged.
 
 The signed distance field of a mask V uses the opposite-class
 convention: a pixel outside V gets +distance to the nearest pixel of V,
@@ -27,8 +29,7 @@ import numpy as np
 from . import pgm
 from .errors import ConfigError, DimensionError, IntegrityError
 
-_NO_FEATURE = np.int64(2**62)
-_BLOCK_ELEMENTS = 2**16  # int64 elements in one broadcast-min block (512 KiB)
+_BLOCK_ELEMENTS = 2**16  # elements in one broadcast-min block (256 KiB as int32)
 
 
 class BinaryMask:
@@ -116,21 +117,21 @@ def iou(a: BinaryMask, b: BinaryMask) -> float:
 # -- exact Euclidean distance transform ----------------------------------
 
 
-def _column_sq(feature: np.ndarray) -> np.ndarray:
+def _column_sq(feature: np.ndarray, sentinel: int, dtype) -> np.ndarray:
     """Squared row distance to the nearest true pixel in the same column.
 
-    Columns with no feature get the _NO_FEATURE sentinel.
+    A running maximum down the rows of ``where(feature, y, -2h)`` gives
+    the nearest true row at or above each pixel, and a running minimum up
+    the rows of ``where(feature, y, 3h)`` the nearest at or below; a
+    column with no feature is left at least 2h away either way.  Its
+    pixels, and only those, get ``sentinel``.
     """
-    h, w = feature.shape
-    big = h  # larger than any real row distance (max h - 1)
-    d = np.where(feature, 0, big).astype(np.int64)
-    for y in range(1, h):
-        np.minimum(d[y], d[y - 1] + 1, out=d[y])
-    for y in range(h - 2, -1, -1):
-        np.minimum(d[y], d[y + 1] + 1, out=d[y])
-    sq = d * d
-    sq[d >= big] = _NO_FEATURE
-    return sq
+    h = feature.shape[0]
+    y = np.arange(h)[:, None]
+    above = np.maximum.accumulate(np.where(feature, y, -2 * h), axis=0)
+    below = np.minimum.accumulate(np.where(feature, y, 3 * h)[::-1], axis=0)[::-1]
+    d = np.minimum(y - above, below - y)
+    return np.where(d < h, d * d, sentinel).astype(dtype)
 
 
 def edt_sq(mask: BinaryMask) -> np.ndarray:
@@ -140,25 +141,31 @@ def edt_sq(mask: BinaryMask) -> np.ndarray:
     to the nearest true pixel of every column x'; the answer is then
     min over x' of colsq[y, x'] + (x - x')^2, taken by broadcasting over a
     block of rows at a time so the (rows, w, w) temporary holds at most
-    _BLOCK_ELEMENTS elements (one row when w * w alone is more).  Every
-    term is an integer, so the minimum is exact.  A non-empty mask gives
-    every row at least one finite column, and the sentinel plus (w - 1)^2
-    stays far below the int64 limit.
+    _BLOCK_ELEMENTS elements (one row when w * w alone is more).  Columns
+    with no true pixel hold the squared diagonal h^2 + w^2 as a sentinel,
+    above every real squared distance (at most (h - 1)^2 + (w - 1)^2); a
+    non-empty mask gives every row at least one real column, so the
+    sentinel never wins.  Every term is an integer, so the minimum is
+    exact.  It is taken in int32 when the largest candidate, h^2 + w^2 +
+    (w - 1)^2, stays below 2^31, so no sum can wrap and the result equals
+    the int64 one; larger images take the same path in int64.
 
     An empty mask has no feature to measure against; every pixel gets
     the squared image diagonal by convention.
     """
     h, w = mask.shape
+    diag_sq = h * h + w * w
     if not mask.any():
-        return np.full((h, w), np.int64(h * h + w * w))
-    colsq = _column_sq(mask.a)
-    x = np.arange(w, dtype=np.int64)
+        return np.full((h, w), np.int64(diag_sq))
+    dtype = np.int32 if diag_sq + (w - 1) ** 2 < 2**31 else np.int64
+    colsq = _column_sq(mask.a, diag_sq, dtype)
+    x = np.arange(w, dtype=dtype)
     dx_sq = (x[:, None] - x) ** 2
-    out = np.empty((h, w), dtype=np.int64)
+    out = np.empty((h, w), dtype=dtype)
     rows = max(1, _BLOCK_ELEMENTS // (w * w))
     for y in range(0, h, rows):
         np.min(colsq[y : y + rows, None, :] + dx_sq, axis=2, out=out[y : y + rows])
-    return out
+    return out.astype(np.int64, copy=False)
 
 
 def edt(mask: BinaryMask) -> np.ndarray:

@@ -23,6 +23,12 @@ at construction and only ever added to; call :func:`zero_grads` between
 optimizer steps.  Interior gradients exist only inside the backward
 sweep, so a forward pass allocates none.
 
+Most ops are elementary, one numpy expression per pullback.  Multi-head
+attention is the exception: between its projection matmuls it is two
+nodes (softmax weights, then the weighted values) whose hand-written
+pullbacks reproduce the per-head elementary chain bit for bit; with
+the default model config one instance's loss traces to 81 tensors.
+
 A single tape is built and swept on one thread; nothing here is
 thread-safe and nothing needs to be at this scale.
 """
@@ -334,12 +340,10 @@ def transpose(a):
 
 
 def _sigmoid_arr(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; each branch is the stable form for its sign
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a):
@@ -543,6 +547,66 @@ class AttentionParams:
         return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)]
 
 
+def _attention_weights(qp: Tensor, kp: Tensor, heads: int) -> Tensor:
+    """Per-head softmax((q_h @ k_h^T) * scale) stacked to (heads, L_q, L_k).
+
+    Head h owns columns [h*dh, (h+1)*dh) of the projections.  The pullback
+    takes the softmax pull, then the scale, then each head's two matmul
+    pulls into that head's column block of qp and kp; both parents share
+    the one computation.
+    """
+    dh = qp.data.shape[1] // heads
+    scale = 1.0 / math.sqrt(dh)
+    blocks = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+    qhs = [qp.data[:, b].copy() for b in blocks]
+    khts = [kp.data[:, b].T.copy() for b in blocks]
+    z = np.stack([qh @ kht for qh, kht in zip(qhs, khts)]) * scale
+    e = np.exp(z - z.max(axis=2, keepdims=True))
+    y = e / e.sum(axis=2, keepdims=True)
+    memo = []  # [g, (gq, gk)] while the sweep runs this node's two pulls
+
+    def pulls(g):
+        if memo and memo[0] is g:
+            return memo[1]
+        gs = y * (g - (g * y).sum(axis=2, keepdims=True)) * scale
+        gq, gk = np.zeros(qp.data.shape), np.zeros(kp.data.shape)
+        for h, b in enumerate(blocks):
+            gq[:, b] = gs[h] @ khts[h].T
+            gk[:, b] = (qhs[h].T @ gs[h]).T
+        memo[:] = [g, (gq, gk)]
+        return memo[1]
+
+    def pull_k(g):
+        gk = pulls(g)[1]
+        memo.clear()
+        return gk
+
+    return _attach(y, [(qp, lambda g: pulls(g)[0]), (kp, pull_k)])
+
+
+def _attention_mix(weights: Tensor, vp: Tensor, heads: int) -> Tensor:
+    """Head h's weights times its column block of vp, heads side by side."""
+    dh = vp.data.shape[1] // heads
+    blocks = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+    y = weights.data
+    vhs = [vp.data[:, b].copy() for b in blocks]
+    out = np.concatenate([y[h] @ vh for h, vh in enumerate(vhs)], axis=1)
+
+    def pull_v(g):
+        gv = np.zeros(vp.data.shape)
+        for h, b in enumerate(blocks):
+            gv[:, b] = y[h].T @ g[:, b]
+        return gv
+
+    return _attach(
+        out,
+        [
+            (weights, lambda g: np.stack([g[:, b] @ vh.T for b, vh in zip(blocks, vhs)])),
+            (vp, pull_v),
+        ],
+    )
+
+
 def multihead_cross_attention(q, k, v, params: AttentionParams, heads: int):
     """Multi-head cross-attention over full token matrices.
 
@@ -550,7 +614,17 @@ def multihead_cross_attention(q, k, v, params: AttentionParams, heads: int):
     per-head softmax weights into shape (heads, L_q, L_k).  Queries,
     keys, and values are projected, split into column blocks per head,
     mixed by scaled dot-product attention, concatenated, and projected
-    by the output matrix.
+    by the output matrix (the head layout of Vaswani et al. 2017).
+
+    Between the four projection matmuls the tape holds two nodes:
+    ``attn`` from the projected queries and keys, and the concatenated
+    head outputs from ``attn`` and the projected values.  Their
+    hand-written pullbacks evaluate the same numpy expressions, on the
+    same operand layouts, as a per-head chain of cols, transpose, matmul,
+    mul, softmax, reshape and concat nodes would, so every gradient is
+    bit-equal to that chain's.  The projections keep their creation order
+    because a prototype bank passed as both keys and values sums its two
+    gradient pieces in that order.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
@@ -566,22 +640,10 @@ def multihead_cross_attention(q, k, v, params: AttentionParams, heads: int):
         )
     if heads < 1 or dim % heads:
         raise ConfigError(f"head count {heads} does not divide channel width {dim}")
-    dh = dim // heads
-    scale = 1.0 / math.sqrt(dh)
 
     qp = matmul(q, params.wq)
     kp = matmul(k, params.wk)
     vp = matmul(v, params.wv)
-
-    l_q, l_k = q.data.shape[0], k.data.shape[0]
-    mixed, weights = [], []
-    for h in range(heads):
-        qh = cols(qp, h * dh, (h + 1) * dh)
-        kh = cols(kp, h * dh, (h + 1) * dh)
-        vh = cols(vp, h * dh, (h + 1) * dh)
-        attn = softmax(mul(matmul(qh, transpose(kh)), scale), axis=1)
-        mixed.append(matmul(attn, vh))
-        weights.append(reshape(attn, (1, l_q, l_k)))
-
-    out = matmul(concat(mixed, axis=1), params.wo)
-    return out, concat(weights, axis=0)
+    weights = _attention_weights(qp, kp, heads)
+    out = matmul(_attention_mix(weights, vp, heads), params.wo)
+    return out, weights

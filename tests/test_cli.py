@@ -7,13 +7,17 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from grasp import __version__
 from grasp.cli import main
+from grasp.errors import _FIELD_TYPES
 from grasp.model import GraspConfig, GraspModel
 from grasp.pgm import read_pgm
+from grasp.synthdata import SceneConfig
+from grasp.training import TrainConfig
 
 SMALL_CONFIG = {
     "scene": {"size": 16, "min_objects": 2, "max_objects": 2},
@@ -145,6 +149,57 @@ def test_train_flag_overrides_config_steps(tmp_path, capsys):
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "b.ckpt"),
                  "--config", cfg, "--steps", "2"]) == 0
     assert "trained 2 steps" in capsys.readouterr().out
+
+
+def test_train_creates_its_output_directories(tmp_path, monkeypatch, capsys):
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    monkeypatch.chdir(fresh)
+    cfg = _write_config(fresh)
+    data = _gen(fresh, "data", n=4, config=cfg)
+    assert main(["train", "--data", str(data), "--out", "run/model.ckpt",
+                 "--config", cfg, "--steps", "1"]) == 0
+    assert (fresh / "run" / "model.ckpt").is_file()
+    assert (fresh / "run" / "model.ckpt.loss.csv").is_file()
+    assert main(["train", "--data", str(data), "--out", "a/b/model.ckpt",
+                 "--loss-csv", "logs/loss.csv", "--config", cfg, "--steps", "1"]) == 0
+    assert (fresh / "a" / "b" / "model.ckpt").is_file()
+    assert (fresh / "logs" / "loss.csv").is_file()
+
+
+def test_ill_typed_config_values_are_config_errors(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    data = _gen(tmp_path, "data", n=4, config=cfg)
+    cases = [
+        ("model", "image_size", 16.0), ("model", "heads", True),
+        ("model", "sdf_query_mod", "yes"), ("model", "sdf_query_mod", 1),
+        ("train", "steps", 2.5), ("train", "batch", True),
+        ("train", "lr", True), ("train", "lr", "0.001"),
+    ]
+    capsys.readouterr()
+    for section, key, value in cases:
+        payload = {**SMALL_CONFIG, section: {**SMALL_CONFIG[section], key: value}}
+        path = tmp_path / f"{section}-{key}-{value!r}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "t.ckpt"),
+                "--config", str(path)]
+        assert main(argv) == 1, (section, key, value)
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:ConfigError:"), err
+    payload = {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"], "size": 16.0}}
+    path = tmp_path / "scene-size.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["gen", "--out", str(tmp_path / "g"), "--n", "2", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:ConfigError:")
+    assert not (tmp_path / "t.ckpt").exists()
+
+
+def test_every_config_field_but_the_shape_list_has_a_checked_type():
+    unchecked = [f"{cls.__name__}.{f.name}" for cls in (GraspConfig, TrainConfig, SceneConfig)
+                 for f in fields(cls) if f.type not in _FIELD_TYPES]
+    assert unchecked == ["SceneConfig.shapes"]
 
 
 # -- full pipeline ------------------------------------------------------------

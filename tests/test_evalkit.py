@@ -363,6 +363,28 @@ def test_ablate_matches_direct_evaluate():
             assert report.to_dict() == direct.to_dict(), (options, override)
 
 
+def test_two_pass_ablate_shares_its_first_pass(monkeypatch):
+    model = GraspModel(SMALL, seed=2)
+    model.params.groups["vm_attention"]["gamma"].data[...] = 0.3
+    model.params.groups["gate"]["alpha"].data[...] = 2.0
+    insts = _scene16(9) + _scene16(10)
+    calls = []
+    forward = GraspModel.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraspModel, "forward", counted)
+    grid = ablate(model, insts, "standard", use_two_pass=True)
+    # one shared first pass, three re-gates, and a second pass per override
+    assert len(calls) == 5 * len(insts)
+    for override, report in grid:
+        direct = evaluate(model, insts, "standard", use_two_pass=True, gate_override=override,
+                          collect_stats=False)
+        assert report.to_dict() == direct.to_dict(), override
+
+
 # -- gate statistics ----------------------------------------------------------
 
 

@@ -158,6 +158,21 @@ def test_edt_matches_brute_force_on_structured_masks():
         assert np.array_equal(edt_sq(BinaryMask(arr)), brute_edt_sq(arr)), f"case {i}"
 
 
+def test_edt_is_exact_on_both_sides_of_the_int32_limit():
+    # The broadcast minimum runs in int32 only while h^2 + w^2 + (w - 1)^2
+    # stays below 2^31.  A 46340x1 column is the tallest that qualifies;
+    # at 46342x1 the largest distance (h - 1)^2 no longer fits in int32.
+    for h in (46340, 46342):
+        arr = np.zeros((h, 1), dtype=bool)
+        arr[0, 0] = True
+        for case in (arr, arr[::-1]):
+            got = edt_sq(BinaryMask(case))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, brute_edt_sq(case)), f"{h}x1"
+            assert int(got.max()) == (h - 1) ** 2
+    assert (46342 - 1) ** 2 > np.iinfo(np.int32).max
+
+
 def test_edt_empty_mask_uses_squared_diagonal():
     out = edt_sq(BinaryMask.zeros(3, 4))
     assert np.all(out == 25)

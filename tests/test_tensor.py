@@ -19,12 +19,18 @@ from grasp.tensor import (
     cols,
     concat,
     depatchify,
+    matmul,
+    mul,
     multihead_cross_attention,
     patchify,
+    reshape,
     scale_rows,
     softmax,
+    transpose,
     zero_grads,
 )
+from grasp.tensor import _sigmoid_arr
+from grasp.training import total_loss
 
 N_SEEDS = 50
 
@@ -462,3 +468,80 @@ def test_attention_single_key_weights_are_exactly_one():
     kv = Tensor(rng.standard_normal((1, 4)))
     _, attn = multihead_cross_attention(q, kv, kv, params, 2)
     assert np.all(attn.data == 1.0)
+
+
+def _attention_chain(q, k, v, params, heads):
+    """Multi-head attention as a per-head chain of elementary tape ops."""
+    dh = q.data.shape[1] // heads
+    qp, kp, vp = matmul(q, params.wq), matmul(k, params.wk), matmul(v, params.wv)
+    mixed, weights = [], []
+    for h in range(heads):
+        qh, kh, vh = (cols(t, h * dh, (h + 1) * dh) for t in (qp, kp, vp))
+        attn = softmax(mul(matmul(qh, transpose(kh)), 1.0 / math.sqrt(dh)), axis=1)
+        mixed.append(matmul(attn, vh))
+        weights.append(reshape(attn, (1,) + attn.shape))
+    return matmul(concat(mixed, axis=1), params.wo), concat(weights, axis=0)
+
+
+def _attention_run(attend, rng_seed, heads, dim, l_q, l_k, kv_mode, use):
+    """Forward values and every leaf gradient of one attention objective."""
+    rng = np.random.default_rng(rng_seed)
+    params = AttentionParams.init(dim, rng)
+    q = Tensor(rng.standard_normal((l_q, dim)), requires_grad=True)
+    base = Tensor(rng.standard_normal((l_k, dim)), requires_grad=True)
+    v = Tensor(rng.standard_normal((l_k, dim)), requires_grad=True)
+    w_out = Tensor(rng.standard_normal((l_q, dim)))
+    w_attn = Tensor(rng.standard_normal((heads, l_q, l_k)))
+    if kv_mode == "leaf":
+        k = v = base
+    elif kv_mode == "interior":
+        k = v = (base * 1.5).tanh()
+    else:
+        k = base
+    out, attn = attend(q, k, v, params, heads)
+    by_out, by_attn = (out * w_out).sum(), (attn * w_attn).sum()
+    # "both" gives the weights two consumers besides the mixing node
+    loss = {"out": by_out, "attn": by_attn, "both": by_out + by_attn + attn.sum()}[use]
+    loss.backward()
+    leaves = [q, base, v, params.wq, params.wk, params.wv, params.wo]
+    return [out.data, attn.data] + [t.grad for t in leaves]
+
+
+def test_attention_is_bit_equal_to_the_per_head_chain():
+    rng = np.random.default_rng(11)
+    for seed in range(40):
+        heads = int(rng.integers(1, 5))
+        dim = heads * int(rng.integers(1, 5))
+        l_q, l_k = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        kv_mode = ("leaf", "interior", "separate")[seed % 3]
+        use = ("out", "attn", "both")[(seed // 3) % 3]
+        shape = (heads, dim, l_q, l_k, kv_mode, use)
+        got = _attention_run(multihead_cross_attention, seed, *shape)
+        want = _attention_run(_attention_chain, seed, *shape)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert np.array_equal(a, b), f"seed {seed} {shape}: array {i} differs"
+
+
+def test_one_instance_loss_traces_to_81_nodes():
+    model = GraspModel(GraspConfig(), seed=0)
+    inst = generate_scene(3, SceneConfig())[0]
+    loss, _ = total_loss(model.forward(inst.image, inst.visible), inst.amodal, inst.visible)
+    assert len(Tape.trace(loss).tensors) == 81
+
+
+def _sigmoid_masked(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_is_bit_equal_to_the_masked_form():
+    rng = np.random.default_rng(4)
+    edges = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 37.0, -37.0, 710.0, -746.0])
+    for x in (edges, rng.standard_normal((64, 64)) * 10, rng.standard_normal(1000) * 300):
+        got, want = _sigmoid_arr(x), _sigmoid_masked(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
