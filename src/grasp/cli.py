@@ -172,6 +172,7 @@ def cmd_probe(args) -> int:
 def cmd_stats(args) -> int:
     model = _load_model(args)
     _, instances = read_dataset(args.data)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     report = evalkit.evaluate(model, instances, "oracle")
     payload = {
         "gate": report.gate_stats,

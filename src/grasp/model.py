@@ -238,11 +238,11 @@ class GraspModel:
         for i in range(N_FROZEN_BLOCKS):
             w = self.params.frozen[f"block{i}_w"]
             b = self.params.frozen[f"block{i}_b"]
-            h = T.tanh(T.add_rowvec(T.matmul(h, w), b))
+            h = T.dense(h, w, b, "tanh")
             feats.append(h)
         stacked = T.concat(feats, axis=1)
         proj = self.params.groups["projection"]
-        return T.add_rowvec(T.matmul(stacked, proj["w"]), proj["b"])
+        return T.dense(stacked, proj["w"], proj["b"])
 
     def encode_mask_tokens(self, visible: BinaryMask) -> Tensor:
         """Visible mask -> (tokens, dim): occupancy and position through an MLP."""
@@ -252,8 +252,8 @@ class GraspModel:
         ty, tx = np.divmod(np.arange(cfg.tokens), g)
         feats = np.stack([occ, (ty + 0.5) / g, (tx + 0.5) / g], axis=1)
         p = self.params.groups["vm_encoder"]
-        h = T.relu(T.add_rowvec(T.matmul(Tensor(feats), p["w1"]), p["b1"]))
-        return T.add_rowvec(T.matmul(h, p["w2"]), p["b2"])
+        h = T.dense(Tensor(feats), p["w1"], p["b1"], "relu")
+        return T.dense(h, p["w2"], p["b2"])
 
     def vm_encode_fuse(self, tokens: Tensor, visible: BinaryMask):
         """Fuse mask evidence into image tokens, scaled by the zero-init scalar."""
@@ -315,10 +315,10 @@ class GraspModel:
     def decode_branches(self, injected: Tensor):
         """Shared trunk, then the occluded and amodal branch features."""
         d = self.params.groups["decoder"]
-        h = T.relu(T.add_rowvec(T.matmul(injected, d["trunk_w1"]), d["trunk_b1"]))
-        h = T.relu(T.add_rowvec(T.matmul(h, d["trunk_w2"]), d["trunk_b2"]))
-        occ = T.relu(T.add_rowvec(T.matmul(h, d["occ_w"]), d["occ_b"]))
-        amodal = T.relu(T.add_rowvec(T.matmul(h, d["amodal_w"]), d["amodal_b"]))
+        h = T.dense(injected, d["trunk_w1"], d["trunk_b1"], "relu")
+        h = T.dense(h, d["trunk_w2"], d["trunk_b2"], "relu")
+        occ = T.dense(h, d["occ_w"], d["occ_b"], "relu")
+        amodal = T.dense(h, d["amodal_w"], d["amodal_b"], "relu")
         return occ, amodal
 
     def heads_from_branches(self, occ_branch: Tensor, amodal_branch: Tensor):
@@ -330,14 +330,10 @@ class GraspModel:
         """
         cfg = self.config
         d = self.params.groups["decoder"]
-        occ_tok = T.add_rowvec(T.matmul(occ_branch, d["head_occ_w"]), d["head_occ_b"])
-        fused = T.relu(
-            T.add_rowvec(
-                T.matmul(T.concat([amodal_branch, occ_branch], axis=1), d["fuse_w"]),
-                d["fuse_b"],
-            )
-        )
-        amo_tok = T.add_rowvec(T.matmul(fused, d["head_amodal_w"]), d["head_amodal_b"])
+        occ_tok = T.dense(occ_branch, d["head_occ_w"], d["head_occ_b"])
+        both = T.concat([amodal_branch, occ_branch], axis=1)
+        fused = T.dense(both, d["fuse_w"], d["fuse_b"], "relu")
+        amo_tok = T.dense(fused, d["head_amodal_w"], d["head_amodal_b"])
         g, p = cfg.grid, cfg.patch
         return (
             T.depatchify(occ_tok, g, g, p),

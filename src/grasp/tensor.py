@@ -23,11 +23,12 @@ at construction and only ever added to; call :func:`zero_grads` between
 optimizer steps.  Interior gradients exist only inside the backward
 sweep, so a forward pass allocates none.
 
-Most ops are elementary, one numpy expression per pullback.  Multi-head
-attention is the exception: between its projection matmuls it is two
-nodes (softmax weights, then the weighted values) whose hand-written
-pullbacks reproduce the per-head elementary chain bit for bit; with
-the default model config one instance's loss traces to 81 tensors.
+Most ops are elementary, one numpy expression per pullback.  Two are
+fused: ``dense`` is an affine layer and its activation in one node, and
+multi-head attention is two nodes between its projection matmuls
+(softmax weights, then the weighted values).  Their hand-written
+pullbacks reproduce the elementary chains bit for bit; with the default
+model config one instance's loss traces to 65 tensors.
 
 A single tape is built and swept on one thread; nothing here is
 thread-safe and nothing needs to be at this scale.
@@ -483,6 +484,59 @@ def add_rowvec(a, b):
         )
     out = a.data + b.data[None, :]
     return _attach(out, [(a, lambda g: g), (b, lambda g: g.sum(axis=0))])
+
+
+def dense(x, w, b, act=None):
+    """An affine layer ``act(x @ w + b)`` as one node; ``act`` is None, "relu" or "tanh".
+
+    Forward and pullbacks evaluate the same numpy expressions as the
+    matmul, add_rowvec and activation chain, so outputs and gradients
+    are bit-equal to it.  The activation pull is taken once per sweep
+    and shared by the parents' pulls.
+    """
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise DimensionError(
+            f"dense needs 2-d x and w and a 1-d b, got shapes "
+            f"{x.data.shape}, {w.data.shape} and {b.data.shape}"
+        )
+    if x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]:
+        raise DimensionError(
+            f"dense: shapes {x.data.shape}, {w.data.shape} and {b.data.shape} do not chain"
+        )
+    y = x.data @ w.data
+    y += b.data
+    if act == "relu":
+        mask = y > 0
+        y = np.where(mask, y, 0.0)
+    elif act == "tanh":
+        y = np.tanh(y)
+    elif act is not None:
+        raise ConfigError(f"dense: unknown activation {act!r}")
+    memo = []  # [g, activation pull of g] while the sweep runs this node's pulls
+
+    def pre(g):
+        if act is None:
+            return g
+        if not memo or memo[0] is not g:
+            memo[:] = [g, g * mask if act == "relu" else g * (1.0 - y * y)]
+        return memo[1]
+
+    pairs = [(p, pull) for p, pull in (
+        (x, lambda g: pre(g) @ w.data.T),
+        (w, lambda g: x.data.T @ pre(g)),
+        (b, lambda g: pre(g).sum(axis=0)),
+    ) if p.requires_grad]
+    if pairs and act is not None:
+        parent, pull = pairs[-1]
+
+        def pull_last(g):
+            c = pull(g)
+            memo.clear()
+            return c
+
+        pairs[-1] = (parent, pull_last)
+    return _attach(y, pairs)
 
 
 def depatchify(a, grid_h, grid_w, patch):

@@ -15,6 +15,7 @@ run is bit-reproducible.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -196,53 +197,66 @@ def train(model: GraspModel, instances: list[SceneInstance], config: TrainConfig
     )
 
     history = []
-    for step in range(config.steps):
-        lr = cosine_lr(step, config.steps, config.lr)
-        T.zero_grads(trainable)
-        if n >= config.batch:
-            picks = rng.choice(n, size=config.batch, replace=False)
-        else:
-            picks = rng.integers(0, n, size=config.batch)
+    # each row is written and flushed as its step ends, so a crash keeps the history
+    with open(loss_csv_path, "w", encoding="ascii") if loss_csv_path else nullcontext() as csv:
+        if csv:
+            csv.write(_LOSS_CSV_HEADER)
+            csv.flush()
+        for step in range(config.steps):
+            lr = cosine_lr(step, config.steps, config.lr)
+            T.zero_grads(trainable)
+            if n >= config.batch:
+                picks = rng.choice(n, size=config.batch, replace=False)
+            else:
+                picks = rng.integers(0, n, size=config.batch)
 
-        sums = dict.fromkeys(LossBreakdown.FIELDS, 0.0)
-        for slot, i in enumerate(picks):
-            inst = instances[int(i)]
-            vm_seed = derive_seed(config.seed, "train-vm", step, slot)
-            v_in = training_vm(inst.visible, vm_seed, clean_prob=config.clean_vm_prob)
-            trace = model.forward(inst.image, v_in)
-            loss, breakdown = total_loss(
-                trace, inst.amodal, inst.visible, occ_weight=config.occ_weight
-            )
-            T.mul(loss, 1.0 / config.batch).backward()
-            for key in LossBreakdown.FIELDS:
-                sums[key] += getattr(breakdown, key) / config.batch
+            sums = dict.fromkeys(LossBreakdown.FIELDS, 0.0)
+            for slot, i in enumerate(picks):
+                inst = instances[int(i)]
+                vm_seed = derive_seed(config.seed, "train-vm", step, slot)
+                v_in = training_vm(inst.visible, vm_seed, clean_prob=config.clean_vm_prob)
+                trace = model.forward(inst.image, v_in)
+                loss, breakdown = total_loss(
+                    trace, inst.amodal, inst.visible, occ_weight=config.occ_weight
+                )
+                T.mul(loss, 1.0 / config.batch).backward()
+                for key in LossBreakdown.FIELDS:
+                    sums[key] += getattr(breakdown, key) / config.batch
 
-        if not all(math.isfinite(v) for v in sums.values()):
-            raise TrainingDiverged(step, sums)
-        opt.step(lr)
+            if not all(math.isfinite(v) for v in sums.values()):
+                raise TrainingDiverged(step, sums)
+            opt.step(lr)
 
-        row = {"step": step, "lr": lr}
-        row.update(sums)
-        history.append(row)
+            row = {"step": step, "lr": lr}
+            row.update(sums)
+            history.append(row)
+            if csv:
+                csv.write(_loss_csv_row(row))
+                csv.flush()
 
-        if ckpt_path and config.ckpt_every and (step + 1) % config.ckpt_every == 0 \
-                and step + 1 < config.steps:
-            save_checkpoint(f"{ckpt_path}.step{step + 1:06d}", model, step=step + 1,
-                            extra={"train_config": config.to_dict()})
+            if ckpt_path and config.ckpt_every and (step + 1) % config.ckpt_every == 0 \
+                    and step + 1 < config.steps:
+                save_checkpoint(f"{ckpt_path}.step{step + 1:06d}", model, step=step + 1,
+                                extra={"train_config": config.to_dict()})
 
     if ckpt_path:
         save_checkpoint(ckpt_path, model, step=config.steps,
                         extra={"train_config": config.to_dict()})
-    if loss_csv_path:
-        write_loss_csv(loss_csv_path, history)
     return TrainResult(steps=config.steps, history=history, final_loss=history[-1]["total"])
 
 
+_LOSS_CSV_COLUMNS = ("step", "lr", *LossBreakdown.FIELDS)
+_LOSS_CSV_HEADER = ",".join(_LOSS_CSV_COLUMNS) + "\n"
+
+
+def _loss_csv_row(row) -> str:
+    return ",".join(
+        repr(int(row[c])) if c == "step" else repr(float(row[c])) for c in _LOSS_CSV_COLUMNS
+    ) + "\n"
+
+
 def write_loss_csv(path, history) -> None:
-    cols = ["step", "lr", *LossBreakdown.FIELDS]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(_LOSS_CSV_HEADER)
         for row in history:
-            fh.write(",".join(
-                repr(int(row[c])) if c == "step" else repr(float(row[c])) for c in cols
-            ) + "\n")
+            fh.write(_loss_csv_row(row))

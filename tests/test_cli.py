@@ -9,14 +9,16 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from grasp import __version__
 from grasp.cli import main
 from grasp.errors import _FIELD_TYPES
+from grasp.geometry import BinaryMask, write_mask
 from grasp.model import GraspConfig, GraspModel
 from grasp.pgm import read_pgm
-from grasp.synthdata import SceneConfig
+from grasp.synthdata import SceneConfig, generate_scene, perturb_vm
 from grasp.training import TrainConfig
 
 SMALL_CONFIG = {
@@ -165,6 +167,18 @@ def test_train_creates_its_output_directories(tmp_path, monkeypatch, capsys):
                  "--loss-csv", "logs/loss.csv", "--config", cfg, "--steps", "1"]) == 0
     assert (fresh / "a" / "b" / "model.ckpt").is_file()
     assert (fresh / "logs" / "loss.csv").is_file()
+
+
+def test_stats_creates_its_output_directory(tmp_path, monkeypatch, capsys):
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    monkeypatch.chdir(fresh)
+    data = _gen(fresh, "data", n=4, config=_write_config(fresh))
+    GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0).save(fresh / "model.ckpt")
+    for out in ("stats/stats.json", "a/b/stats.json"):
+        assert main(["stats", "--ckpt", "model.ckpt", "--data", str(data), "--out", out]) == 0
+        assert "gate" in json.loads((fresh / out).read_text())
+    capsys.readouterr()
 
 
 def test_ill_typed_config_values_are_config_errors(tmp_path, capsys):
@@ -324,6 +338,36 @@ def test_sdf_meta_is_the_same_from_any_directory(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert metas[0] == metas[1]
     assert json.loads(metas[0])["mask"] == "mask.pgm"
+
+
+# sha256 of sdf.csv and sdf.pgm: an exact integer EDT, then IEEE sqrt and
+# divide, so the bytes are the same on every platform.  gate.pgm (exp) and
+# sdf_meta.json (the version) are left out.
+SDF_EXPORT_DIGESTS = {
+    "scene": ("8e134089de6b86d7747f416f4dc5972dbf213ce1f209b5454c41bfae06d1925d",
+              "5719b03e463d0d6e5494bbe2b2624f14eda138665077c2517bd587435ad7d914"),
+    "perturbed": ("f2fdc8dfbd2fa295af10dafe38425a39ccbe7ee4c00bb8427008f9868387947c",
+                  "c54c0331f455717f616c50bb6db2aa7e04f8be7e0bcc5fc40acedb0d55e38276"),
+    "border": ("586d19e91179bbc5e063e7278f0fd6b0839046dc32baf6ea338bf4e0e2b65928",
+               "a0da8c1a4ab97551bd6f970cf5558102f5dd2f6c910d7beea31e105ec75a5d8c"),
+}
+
+
+def test_sdf_export_bytes_are_pinned(tmp_path, capsys):
+    visible = generate_scene(4)[3].visible
+    yy, xx = np.mgrid[:64, :64]
+    # a disc cut by the left and bottom edges, the rightmost columns, part of the top rows
+    border = ((yy - 60) ** 2 + (xx + 3) ** 2 < 18**2) | (xx >= 61) | ((yy < 2) & (xx > 30))
+    masks = {"scene": visible, "perturbed": perturb_vm(visible, 17),
+             "border": BinaryMask(border)}
+    for name, mask in masks.items():
+        write_mask(tmp_path / f"{name}.pgm", mask)
+        out = tmp_path / name
+        assert main(["sdf", "--mask", str(tmp_path / f"{name}.pgm"), "--out", str(out)]) == 0
+        got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("sdf.csv", "sdf.pgm"))
+        assert got == SDF_EXPORT_DIGESTS[name], name
+    capsys.readouterr()
 
 
 def test_analysis_commands_run_one_forward_per_instance(tmp_path, capsys, monkeypatch):

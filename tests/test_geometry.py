@@ -158,9 +158,67 @@ def test_edt_matches_brute_force_on_structured_masks():
         assert np.array_equal(edt_sq(BinaryMask(arr)), brute_edt_sq(arr)), f"case {i}"
 
 
+def _window_cases():
+    """Masks that put the false-pixel bounding box in every position."""
+    h, w = 9, 11
+    # a false box touching each edge and each corner, or none of them
+    for y0, y1 in ((0, 3), (3, 6), (6, 9), (0, 9)):
+        for x0, x1 in ((0, 4), (4, 7), (7, 11), (0, 11)):
+            arr = np.ones((h, w), dtype=bool)
+            arr[y0:y1, x0:x1] = False
+            arr[(y0 + y1) // 2, (x0 + x1) // 2] = True  # a true pixel inside the box
+            yield f"box {y0}:{y1}x{x0}:{x1}", arr
+            hollow = arr.copy()
+            hollow[y0:y1, x0:x1] = True
+            hollow[y0, x0] = hollow[y1 - 1, x1 - 1] = False  # the box is only its corners
+            yield f"corners {y0}:{y1}x{x0}:{x1}", hollow
+    for y in range(h):
+        for x in range(w):
+            one = np.zeros((h, w), dtype=bool)
+            one[y, x] = True
+            yield f"true pixel {y},{x}", one
+            yield f"false pixel {y},{x}", ~one
+    # all-true rows and columns crossing the box
+    rng = np.random.default_rng(8)
+    for k in range(20):
+        arr = rng.random((h, w)) < 0.3
+        arr[int(rng.integers(h)), :] = True
+        arr[:, int(rng.integers(w))] = True
+        yield f"crossed {k}", arr
+    for n in (1, 2, 5, 40):
+        for k in range(n):
+            strip = np.zeros(n, dtype=bool)
+            strip[k] = True
+            for case in (strip, ~strip, strip | (np.arange(n) % 3 == 0)):
+                yield f"1x{n} {k}", case[None, :]
+                yield f"{n}x1 {k}", case[:, None]
+
+
+def test_edt_window_matches_brute_force_wherever_the_false_box_lies():
+    for label, arr in _window_cases():
+        if not arr.any():
+            continue
+        got = edt_sq(BinaryMask(arr))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, brute_edt_sq(arr)), label
+
+
+def test_edt_matches_brute_force_on_discs_on_and_off_the_image():
+    yy, xx = np.mgrid[:64, :64]
+    centres = ((32, 32), (0, 0), (63, 20), (-12, 30), (40, 75), (80, -8))
+    for r in range(1, 41):
+        for cy, cx in centres:
+            disc = (yy - cy) ** 2 + (xx - cx) ** 2 < r * r
+            for case in (disc, ~disc):
+                if case.any():
+                    assert np.array_equal(edt_sq(BinaryMask(case)), brute_edt_sq(case)), (
+                        f"radius {r} centre {cy},{cx}"
+                    )
+
+
 def test_edt_is_exact_on_both_sides_of_the_int32_limit():
-    # The broadcast minimum runs in int32 only while h^2 + w^2 + (w - 1)^2
-    # stays below 2^31.  A 46340x1 column is the tallest that qualifies;
+    # The broadcast minimum runs in int32 only while (h - 1)^2 + (w - 1)^2
+    # stays below 2^31.  A 46341x1 column is the tallest that qualifies;
     # at 46342x1 the largest distance (h - 1)^2 no longer fits in int32.
     for h in (46340, 46342):
         arr = np.zeros((h, 1), dtype=bool)
@@ -196,6 +254,22 @@ def test_sdf_hand_values_single_center_pixel():
     assert field.values[1, 0] == 1.0
     assert field.values[0, 0] == pytest.approx(np.sqrt(2.0), abs=0)
     assert field.diagonal == pytest.approx(np.sqrt(18.0), abs=0)
+
+
+def test_sdf_is_bit_equal_to_the_two_root_form():
+    def two_root(arr):
+        inside = np.sqrt(edt_sq(BinaryMask(~arr)).astype(np.float64))
+        outside = np.sqrt(edt_sq(BinaryMask(arr)).astype(np.float64))
+        return np.where(arr, -inside, outside)
+
+    rng = np.random.default_rng(9)
+    cases = [arr for _, arr in _window_cases()]
+    cases += [rng.random((16, 16)) < p for p in (0.0, 0.05, 0.5, 0.95, 1.0)]
+    for i, arr in enumerate(cases):
+        values = sdf(BinaryMask(arr)).values
+        want = two_root(arr)
+        assert values.dtype == want.dtype and values.tobytes() == want.tobytes(), f"case {i}"
+        assert np.array_equal(np.signbit(values), np.signbit(want)), f"case {i}"
 
 
 def test_sdf_sign_convention_and_min_magnitude():

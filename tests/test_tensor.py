@@ -18,14 +18,17 @@ from grasp.tensor import (
     backward,
     cols,
     concat,
+    dense,
     depatchify,
     matmul,
     mul,
     multihead_cross_attention,
     patchify,
+    relu,
     reshape,
     scale_rows,
     softmax,
+    tanh,
     transpose,
     zero_grads,
 )
@@ -179,6 +182,16 @@ def case_add_rowvec(rng):
     return lambda: (add_rowvec(a, b) * w).sum(), [a, b]
 
 
+def _case_dense(act):
+    def case(rng):
+        x, w, b = _leaf(rng, (4, 3)), _leaf(rng, (3, 5)), _leaf(rng, (5,))
+        c = _const(rng, (4, 5))
+        return lambda: (dense(x, w, b, act) * c).sum(), [x, w, b]
+
+    case.__name__ = f"case_dense_{act}".lower()
+    return case
+
+
 def case_depatchify(rng):
     a, w = _leaf(rng, (6, 4)), _const(rng, (4, 6))
     return lambda: (depatchify(a, 2, 3, 2) * w).sum(), [a]
@@ -205,7 +218,8 @@ CASES = [
     case_relu, case_tanh, case_softplus, case_abs, case_softmax_rows,
     case_softmax_cols, case_sum, case_mean, case_reshape, case_concat_rows,
     case_concat_cols, case_cols, case_scale_rows, case_add_rowvec,
-    case_depatchify, case_attention,
+    case_depatchify, case_attention, _case_dense(None), _case_dense("relu"),
+    _case_dense("tanh"),
 ]
 
 
@@ -522,11 +536,65 @@ def test_attention_is_bit_equal_to_the_per_head_chain():
             assert np.array_equal(a, b), f"seed {seed} {shape}: array {i} differs"
 
 
-def test_one_instance_loss_traces_to_81_nodes():
+def _dense_chain(x, w, b, act=None):
+    y = add_rowvec(matmul(x, w), b)
+    return {"relu": relu, "tanh": tanh}[act](y) if act else y
+
+
+def _dense_run(layer, seed, act, mode):
+    """Forward values and every leaf gradient of one or two affine layers."""
+    rng = np.random.default_rng(seed)
+    base = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    frozen = mode == "frozen weights"
+    w1, b1 = (Tensor(rng.standard_normal(s), requires_grad=not frozen) for s in ((4, 3), (3,)))
+    w2, b2 = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((4, 6), (6,)))
+    c1, c2 = _const(rng, (5, 3)), _const(rng, (5, 6))
+    x = (base * 1.5).tanh() if mode == "interior" else base
+    out1 = layer(x, w1, b1, act)
+    loss = (out1 * c1).sum()
+    outs = [out1.data]
+    if mode == "interior":  # the interior x is read by two layers
+        out2 = layer(x, w2, b2, act)
+        loss = loss + (out2 * c2).sum()
+        outs.append(out2.data)
+    loss.backward()
+    return outs + [t.grad for t in (base, w1, b1, w2, b2) if t.requires_grad]
+
+
+def test_dense_is_bit_equal_to_the_matmul_add_activation_chain():
+    for act in (None, "relu", "tanh"):
+        for mode in ("leaf", "interior", "frozen weights"):
+            for seed in range(10):
+                got = _dense_run(dense, seed, act, mode)
+                want = _dense_run(_dense_chain, seed, act, mode)
+                assert len(got) == len(want)
+                for i, (a, b) in enumerate(zip(got, want)):
+                    assert np.array_equal(a, b), f"{act} {mode} seed {seed}: array {i} differs"
+
+
+def test_dense_on_constants_records_no_node():
+    rng = np.random.default_rng(5)
+    x, w, b = _const(rng, (3, 4)), _const(rng, (4, 2)), _const(rng, (2,))
+    y = dense(x, w, b, "tanh")
+    assert y.pairs is None and not y.requires_grad
+    assert np.array_equal(y.data, np.tanh(x.data @ w.data + b.data))
+
+
+def test_dense_rejects_bad_shapes_and_activations():
+    x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4))
+    for args in ((x, w, Tensor(np.ones(3))), (x, Tensor(np.ones((2, 4))), b),
+                 (Tensor(np.ones(3)), w, b), (x, w, Tensor(np.ones((1, 4))))):
+        with pytest.raises(DimensionError):
+            dense(*args)
+    with pytest.raises(ConfigError):
+        dense(x, w, b, "sigmoid")
+
+
+def test_one_instance_loss_traces_to_65_nodes():
     model = GraspModel(GraspConfig(), seed=0)
     inst = generate_scene(3, SceneConfig())[0]
     loss, _ = total_loss(model.forward(inst.image, inst.visible), inst.amodal, inst.visible)
-    assert len(Tape.trace(loss).tensors) == 81
+    assert len(Tape.trace(loss).tensors) == 65
 
 
 def _sigmoid_masked(x):

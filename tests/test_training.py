@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import gradcheck
+from grasp import training
 from grasp.errors import ConfigError, IntegrityError, TrainingDiverged
 from grasp.geometry import BinaryMask
 from grasp.model import GraspConfig, GraspModel, load_checkpoint
@@ -396,6 +397,37 @@ def test_train_writes_checkpoints_and_csv(tmp_path):
     assert float(first[1]) == cosine_lr(0, 5, 1e-3)
     for cell in first[1:]:
         float(cell)  # every numeric cell parses back
+
+
+def test_loss_csv_streams_one_flushed_row_per_step(tmp_path):
+    csv = tmp_path / "loss.csv"
+    cfg = TrainConfig(steps=4, batch=2, lr=1e-3, seed=0)
+    result = train(GraspModel(SMALL, seed=3), _tiny_data(4), cfg, loss_csv_path=str(csv))
+    want = tmp_path / "want.csv"
+    write_loss_csv(want, result.history)
+    assert csv.read_bytes() == want.read_bytes()
+
+
+def test_diverged_run_keeps_the_loss_rows_of_its_finished_steps(tmp_path, monkeypatch):
+    # a NaN learning rate at step k - 1 poisons every parameter, so step k diverges
+    k = 3
+    csv = tmp_path / "loss.csv"
+    lines_seen = []
+    schedule = training.cosine_lr
+
+    def poisoned(step, total_steps, lr0):
+        lines_seen.append(len(csv.read_text().splitlines()))  # flushed before this step
+        return math.nan if step == k - 1 else schedule(step, total_steps, lr0)
+
+    monkeypatch.setattr(training, "cosine_lr", poisoned)
+    cfg = TrainConfig(steps=6, batch=2, lr=1e-3, seed=0)
+    with pytest.raises(TrainingDiverged) as err, np.errstate(invalid="ignore"):
+        train(GraspModel(SMALL, seed=3), _tiny_data(4), cfg, loss_csv_path=str(csv))
+    assert err.value.step == k
+    assert lines_seen == [1 + step for step in range(k + 1)]
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "step,lr," + ",".join(LossBreakdown.FIELDS)
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(k))
 
 
 def test_train_config_validation():
