@@ -173,10 +173,9 @@ def cmd_stats(args) -> int:
     model = _load_model(args)
     _, instances = read_dataset(args.data)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    report = evalkit.evaluate(model, instances, "oracle")
     payload = {
-        "gate": report.gate_stats,
-        "attention": report.attention_stats,
+        "gate": evalkit.gate_stats(model, instances),
+        "attention": evalkit.attention_stats(model, instances),
         "config": _run_config(args, {"model": model.config.to_dict()}),
         "version": __version__,
     }

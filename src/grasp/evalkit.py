@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .geometry import BinaryMask, iou, mask_diff, mask_union
-from .model import GraspModel
+from .model import GraspModel, applied_gate
 from .seeding import derive_seed
 from .synthdata import OCC_BINS, SceneInstance, perturb_vm
 
@@ -74,24 +74,25 @@ class TwoPassResult:
 
 def two_pass(model: GraspModel, image: np.ndarray, v_input: BinaryMask,
              threshold: float = 0.5, gate_override: Optional[float] = "config") -> TwoPassResult:
-    """Self-refined inference: exactly two forward passes.
+    """Self-refined inference: exactly two passes.
 
     The second pass replaces the visible-mask input with the model's own
     estimate from the first pass (amodal minus occluded), or with the
-    original input when that estimate is empty.
+    original input when that estimate is empty.  It reuses the first
+    pass's image tokens, so the image is encoded once.
     """
     first = model.forward(image, v_input, gate_override=gate_override)
-    return _second_pass(model, image, v_input, first, threshold, gate_override)
+    return _second_pass(model, v_input, first, threshold, gate_override)
 
 
-def _second_pass(model, image, v_input, first, threshold, gate_override) -> TwoPassResult:
-    """Two-pass inference given the first pass's trace."""
+def _second_pass(model, v_input, first, threshold, gate_override) -> TwoPassResult:
+    """Two-pass inference given the first pass's trace, whose image tokens it reuses."""
     a1, o1 = _masks(first, threshold)
     v_ref = mask_diff(a1, o1)
     fallback = not v_ref.any()
     if fallback:
         v_ref = v_input
-    a2, o2, _ = predict(model, image, v_ref, threshold, gate_override)
+    a2, o2 = _masks(model.regate(model.prefix(first.tokens, v_ref), gate_override), threshold)
     return TwoPassResult(
         amodal=a2, occluded=o2, v_reference=v_ref, passes=2,
         fallback_used=fallback, first_amodal=a1, first_occluded=o1,
@@ -240,7 +241,7 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
             elif use_two_pass:
                 first = (model.forward(inst.image, v_input, override) if first is None
                          else model.regate(first, override))
-                tp = _second_pass(model, inst.image, v_input, first, threshold, override)
+                tp = _second_pass(model, v_input, first, threshold, override)
                 amodal_pred, occ_pred = tp.amodal, tp.occluded
             else:
                 trace = (model.forward(inst.image, v_input, override) if trace is None
@@ -280,7 +281,7 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
     for k, gate_override in enumerate(overrides):
         effective_override = gate_override
         if isinstance(gate_override, str) and gate_override == "config":
-            effective_override = model.config.gate_override if is_model else None
+            effective_override = model.resolve_override() if is_model else None
 
         full_scores = [r["full_iou"] for r in rows[k]]
         occ_scores = [r["occ_iou"] for r in rows[k] if r["occ_iou"] is not None]
@@ -421,14 +422,33 @@ def _aggregate_attention_stats(samples) -> dict:
     }
 
 
-def gate_stats(model: GraspModel, instances: list[SceneInstance]) -> dict:
-    """Gate statistics under the oracle protocol."""
-    return evaluate(model, instances, "oracle").gate_stats
+def gate_stats(model: GraspModel, instances: list[SceneInstance]) -> Optional[dict]:
+    """Gate statistics under the oracle protocol; None for no instances.
+
+    The gate reads only the visible mask's signed distance, so this runs
+    the SDF and the gate, not the forward pass; the result equals
+    ``evaluate(model, instances, "oracle").gate_stats``.
+    """
+    override = model.resolve_override()
+    samples = []
+    for inst in instances:
+        sdf_tok = model.sdf_tokens(inst.visible)
+        gate = applied_gate(model.gate(sdf_tok), override)
+        samples.append((inst.occ_ratio, gate.data, sdf_tok, None))
+    return _aggregate_gate_stats(samples, model.config.grid) if samples else None
 
 
-def attention_stats(model: GraspModel, instances: list[SceneInstance]) -> dict:
-    """Prototype-attention statistics under the oracle protocol."""
-    return evaluate(model, instances, "oracle").attention_stats
+def attention_stats(model: GraspModel, instances: list[SceneInstance]) -> Optional[dict]:
+    """Prototype-attention statistics under the oracle protocol; None for no instances.
+
+    Attention precedes the gate, so this runs the forward pass's prefix
+    only; the result equals ``evaluate(model, instances, "oracle").attention_stats``.
+    """
+    samples = []
+    for inst in instances:
+        trace = model.prefix(model.encode(inst.image), inst.visible)
+        samples.append((None, None, trace.sdf_tokens, trace.proto_attn))
+    return _aggregate_attention_stats(samples) if samples else None
 
 
 def ablate(model: GraspModel, instances: list[SceneInstance], protocol: str = "oracle",

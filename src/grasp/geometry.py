@@ -98,11 +98,6 @@ def mask_union(a: BinaryMask, b: BinaryMask) -> BinaryMask:
     return BinaryMask(a.a | b.a)
 
 
-def mask_intersect(a: BinaryMask, b: BinaryMask) -> BinaryMask:
-    _check_same_shape(a, b)
-    return BinaryMask(a.a & b.a)
-
-
 def mask_diff(a: BinaryMask, b: BinaryMask) -> BinaryMask:
     _check_same_shape(a, b)
     return BinaryMask(a.a & ~b.a)

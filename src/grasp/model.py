@@ -95,9 +95,17 @@ class GraspConfig:
 
 
 def _check_gate_override(value) -> None:
-    """A gate override is None or a finite constant in [0, 1]."""
-    if value is not None and not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+    """A gate override is None or a finite constant in [0, 1]; a bool is neither."""
+    if value is not None and (isinstance(value, bool) or not (
+            isinstance(value, numbers.Real) and 0.0 <= value <= 1.0)):
         raise ConfigError(f"gate override {value!r} is not None or a number in [0, 1]")
+
+
+def applied_gate(gate: Tensor, gate_override: Optional[float]) -> Tensor:
+    """The gate that inject applies: the learned ``gate``, or the override's constant."""
+    if gate_override is None:
+        return gate
+    return Tensor(np.full(gate.shape[0], float(gate_override)))
 
 
 N_FROZEN_BLOCKS = 4
@@ -303,13 +311,11 @@ class GraspModel:
         (fused tokens and prior, respectively), so ablations compare
         bit-identical quantities rather than reconstructed ones.
         """
-        if gate_override is not None:
-            c = float(gate_override)
-            gate = Tensor(np.full(fused.shape[0], c))
-            if c == 0.0:
-                return fused, gate
-            if c == 1.0:
-                return prior, gate
+        gate = applied_gate(gate, gate_override)
+        if gate_override == 0.0:
+            return fused, gate
+        if gate_override == 1.0:
+            return prior, gate
         return T.add(fused, T.scale_rows(residual, gate)), gate
 
     def decode_branches(self, injected: Tensor):
@@ -340,16 +346,25 @@ class GraspModel:
             T.depatchify(amo_tok, g, g, p),
         )
 
+    def prefix(self, tokens: Tensor, visible: BinaryMask) -> ForwardTrace:
+        """Everything before the gate, from encoded image tokens and a visible mask."""
+        sdf_tok = self.sdf_tokens(visible)
+        fused, mask_tokens = self.vm_encode_fuse(tokens, visible)
+        prior, residual, attn = self.spm(fused, sdf_tok)
+        return ForwardTrace(tokens=tokens, mask_tokens=mask_tokens, fused=fused, prior=prior,
+                            residual=residual, sdf_tokens=sdf_tok, proto_attn=attn.data.copy())
+
     def forward(self, image: np.ndarray, visible: BinaryMask,
                 gate_override: Optional[float] = "config") -> ForwardTrace:
         """Run the full pipeline; override defaults to the configured one."""
-        sdf_tok = self.sdf_tokens(visible)
-        tokens = self.encode(image)
-        fused, mask_tokens = self.vm_encode_fuse(tokens, visible)
-        prior, residual, attn = self.spm(fused, sdf_tok)
-        prefix = ForwardTrace(tokens=tokens, mask_tokens=mask_tokens, fused=fused, prior=prior,
-                              residual=residual, sdf_tokens=sdf_tok, proto_attn=attn.data.copy())
-        return self.regate(prefix, gate_override)
+        return self.regate(self.prefix(self.encode(image), visible), gate_override)
+
+    def resolve_override(self, gate_override: Optional[float] = "config") -> Optional[float]:
+        """The checked override a pass applies; "config" means the configured one."""
+        if gate_override == "config":
+            gate_override = self.config.gate_override
+        _check_gate_override(gate_override)
+        return gate_override
 
     def regate(self, trace: ForwardTrace,
                gate_override: Optional[float] = "config") -> ForwardTrace:
@@ -358,9 +373,7 @@ class GraspModel:
         Nothing before the gate depends on the override, so re-gating a
         trace equals a fresh ``forward`` under the new override bit for bit.
         """
-        if gate_override == "config":
-            gate_override = self.config.gate_override
-        _check_gate_override(gate_override)
+        gate_override = self.resolve_override(gate_override)
         gate = self.gate(trace.sdf_tokens)
         injected, effective_gate = self.inject(trace.fused, trace.prior, trace.residual, gate,
                                                gate_override)

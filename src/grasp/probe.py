@@ -27,21 +27,24 @@ POSITIONS = ("pre_fusion", "post_fusion", "random_baseline")
 def extract_probe_set(model: GraspModel, instances: list[SceneInstance], seed: int = 0):
     """Collect ({position: features}, targets, instance_ids) over the oracle protocol.
 
-    One forward pass per instance fills every position: pre_fusion reads
-    the encoded image tokens, post_fusion reads them after visible-mask
-    fusion, random_baseline draws features from a seeded standard normal
-    of the same shape.
+    One encode and mask fusion per instance fill every position:
+    pre_fusion reads the encoded image tokens, post_fusion reads them
+    after visible-mask fusion, random_baseline draws features from a
+    seeded standard normal of the same shape.  The targets are the
+    model's SDF tokens.
     """
     feats = {position: [] for position in POSITIONS}
     targets, ids = [], []
     for index, inst in enumerate(instances):
-        trace = model.forward(inst.image, inst.visible)
+        sdf_tok = model.sdf_tokens(inst.visible)
+        tokens = model.encode(inst.image)
+        fused, _ = model.vm_encode_fuse(tokens, inst.visible)
         rng = np.random.default_rng(derive_seed(seed, "probe-random", index))
-        feats["pre_fusion"].append(trace.tokens.data)
-        feats["post_fusion"].append(trace.fused.data)
-        feats["random_baseline"].append(rng.standard_normal(trace.tokens.data.shape))
-        targets.append(trace.sdf_tokens)
-        ids.append(np.full(trace.sdf_tokens.shape[0], index))
+        feats["pre_fusion"].append(tokens.data)
+        feats["post_fusion"].append(fused.data)
+        feats["random_baseline"].append(rng.standard_normal(tokens.data.shape))
+        targets.append(sdf_tok)
+        ids.append(np.full(sdf_tok.shape[0], index))
     features = {position: np.concatenate(f) for position, f in feats.items()}
     return features, np.concatenate(targets), np.concatenate(ids)
 
@@ -154,7 +157,7 @@ def probe_position(model: GraspModel, instances, position: str, lam: float = 1.0
 
 def probe_report(model: GraspModel, instances, lam: float = 1.0, seed: int = 0,
                  test_frac: float = 0.2, pairs_position: str = "post_fusion") -> dict:
-    """Probe every position from one forward pass per instance; returns a report dict."""
+    """Probe every position from one encode and fusion per instance; returns a report dict."""
     feats, y, ids = extract_probe_set(model, instances, seed=seed)
     results = {}
     pairs = None

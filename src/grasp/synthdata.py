@@ -454,16 +454,3 @@ def read_dataset(data_dir) -> tuple[DatasetManifest, list[SceneInstance]]:
             f"manifest count {manifest.count} contradicts {len(instances)} instances"
         )
     return manifest, instances
-
-
-def occ_bin_fractions(instances: list[SceneInstance]) -> dict[str, float]:
-    """Fraction of occluded instances per occlusion-ratio band (diagnostics)."""
-    occluded = [i for i in instances if i.occluded.any()]
-    if not occluded:
-        return {}
-    out = {}
-    for lo, hi in OCC_BINS:
-        last = hi == 1.0
-        n = sum(1 for i in occluded if lo <= i.occ_ratio < hi or (last and i.occ_ratio == hi))
-        out[f"[{lo},{hi}{']' if last else ')'}"] = n / len(occluded)
-    return out

@@ -1,4 +1,4 @@
-"""Shared test helpers: finite-difference gradient checking.
+"""Shared test helpers: finite-difference gradient checking and stage call counts.
 
 The suite runs BLAS on one thread, as the benchmark does: the model's
 matrices are small, and criterion 03's time bound assumes one thread
@@ -11,6 +11,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
+from grasp.model import GraspModel  # noqa: E402
 from grasp.tensor import backward, zero_grads  # noqa: E402
 
 FD_EPS = 1e-5
@@ -57,3 +58,15 @@ def gradcheck(build, leaves, eps=FD_EPS, tol=FD_TOL, label=""):
             f"{label} leaf {j}: max rel grad error {worst:.3e} >= {tol:.0e}\n"
             f"analytic={analytic!r}\nnumeric={numeric!r}"
         )
+
+
+def count_model_calls(monkeypatch, *names):
+    """Count calls to the named GraspModel methods; returns the live {name: calls} dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(self, *args, _name=name, _fn=getattr(GraspModel, name), **kwargs):
+            calls[_name] += 1
+            return _fn(self, *args, **kwargs)
+
+        monkeypatch.setattr(GraspModel, name, counted)
+    return calls

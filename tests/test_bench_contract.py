@@ -60,6 +60,27 @@ def test_tracer_installs_and_restores_every_patch_point():
         assert getattr(target, attr) is fn, (target, attr)
 
 
+def test_one_traced_forward_opens_each_stage_span_once():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    model = GraspModel(SMALL, seed=0)
+    inst = generate_scene(1, SceneConfig(size=16, min_objects=2, max_objects=2))[0]
+    try:
+        tracing.install(tracer)
+        model.forward(inst.image, inst.visible)
+    finally:
+        tracer.restore()
+    names = [span[tracing.NAME] for span in tracer.spans]
+    stages = {name: names.count(name) for name in (
+        "model.forward", "model.encode", "model.vm_encode_fuse", "model.spm", "geometry.sdf",
+        "model.gate_inject", "model.decode")}
+    assert stages == {"model.forward": 1, "model.encode": 1, "model.vm_encode_fuse": 1,
+                      "model.spm": 1, "geometry.sdf": 1, "model.gate_inject": 2,
+                      "model.decode": 2}
+    forward = names.index("model.forward")
+    assert all(tracer.spans[i][tracing.ROOT] == forward for i in range(len(names)))
+
+
 def test_train_calls_module_cosine_lr_once_per_step(monkeypatch):
     insts = generate_scene(0, SceneConfig(size=16, min_objects=2, max_objects=2))
     steps = []

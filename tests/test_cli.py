@@ -12,6 +12,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import count_model_calls
 from grasp import __version__
 from grasp.cli import main
 from grasp.errors import _FIELD_TYPES
@@ -370,25 +371,26 @@ def test_sdf_export_bytes_are_pinned(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_analysis_commands_run_one_forward_per_instance(tmp_path, capsys, monkeypatch):
+def test_analysis_commands_run_only_the_stages_they_read(tmp_path, capsys, monkeypatch):
     data = _gen(tmp_path, "data", n=4, config=_write_config(tmp_path))
     ckpt = tmp_path / "model.ckpt"
     GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0).save(ckpt)
-    calls = []
-    forward = GraspModel.forward
-
-    def counting_forward(self, *args, **kwargs):
-        calls.append(1)
-        return forward(self, *args, **kwargs)
-
-    monkeypatch.setattr(GraspModel, "forward", counting_forward)
-    for argv in (["ablate", "--out", str(tmp_path / "ablate.csv")],
-                 ["ablate", "--protocol", "standard", "--pp", "--out", str(tmp_path / "pp.csv")],
-                 ["probe", "--out", str(tmp_path / "probe")],
-                 ["stats", "--out", str(tmp_path / "stats.json")]):
-        calls.clear()
+    calls = count_model_calls(monkeypatch, "forward", "encode", "spm", "decode_branches")
+    # per instance: ablate re-gates one forward for its four overrides; probe
+    # stops at mask fusion; stats stops at prototype attention
+    for argv, per_instance in (
+        (["ablate", "--out", str(tmp_path / "ablate.csv")],
+         {"forward": 1, "encode": 1, "spm": 1, "decode_branches": 4}),
+        (["ablate", "--protocol", "standard", "--pp", "--out", str(tmp_path / "pp.csv")],
+         {"forward": 1, "encode": 1, "spm": 1, "decode_branches": 4}),
+        (["probe", "--out", str(tmp_path / "probe")],
+         {"forward": 0, "encode": 1, "spm": 0, "decode_branches": 0}),
+        (["stats", "--out", str(tmp_path / "stats.json")],
+         {"forward": 0, "encode": 1, "spm": 1, "decode_branches": 0}),
+    ):
+        calls.update(dict.fromkeys(calls, 0))
         assert main(argv + ["--ckpt", str(ckpt), "--data", str(data)]) == 0
-        assert len(calls) == 4, argv
+        assert calls == {name: 4 * n for name, n in per_instance.items()}, argv
     capsys.readouterr()
 
 

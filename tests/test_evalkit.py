@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import count_model_calls
 from grasp.errors import ConfigError, DimensionError
 from grasp.evalkit import (
     OCC_BINS,
@@ -368,24 +369,51 @@ def test_two_pass_ablate_shares_its_first_pass(monkeypatch):
     model.params.groups["vm_attention"]["gamma"].data[...] = 0.3
     model.params.groups["gate"]["alpha"].data[...] = 2.0
     insts = _scene16(9) + _scene16(10)
-    calls = []
-    forward = GraspModel.forward
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return forward(self, *args, **kwargs)
-
-    monkeypatch.setattr(GraspModel, "forward", counted)
+    calls = count_model_calls(monkeypatch, "forward", "encode", "decode_branches")
     grid = ablate(model, insts, "standard", use_two_pass=True)
-    # one shared first pass, three re-gates, and a second pass per override
-    assert len(calls) == 5 * len(insts)
+    # one shared first pass and three re-gates; each override's second pass
+    # reuses the first pass's image tokens, so every image is encoded once
+    assert calls == {"forward": len(insts), "encode": len(insts),
+                     "decode_branches": 8 * len(insts)}
     for override, report in grid:
         direct = evaluate(model, insts, "standard", use_two_pass=True, gate_override=override,
                           collect_stats=False)
         assert report.to_dict() == direct.to_dict(), override
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_gate_override_is_rejected(value):
+    model = GraspModel(SMALL, seed=0)
+    insts = _scene16(0)
+    with pytest.raises(ConfigError):
+        evaluate(model, insts, gate_override=value)
+    with pytest.raises(ConfigError):
+        ablate(model, insts, overrides=(None, value))
+
+
 # -- gate statistics ----------------------------------------------------------
+
+
+def _jittered(**options):
+    cfg = GraspConfig(image_size=16, patch=8, dim=8, heads=2, n_prototypes=4, vm_hidden=4,
+                      decoder_hidden=8, **options)
+    model = GraspModel(cfg, seed=4)
+    rng = np.random.default_rng(6)
+    for _, _, t in model.params.named_trainable():
+        t.data[...] += 0.3 * rng.standard_normal(t.data.shape)
+    return model
+
+
+@pytest.mark.parametrize("options", [{}, {"gate_override": 0.5}, {"sdf_query_mod": True}])
+def test_stats_equal_the_oracle_evaluation_bit_for_bit(options):
+    model = _jittered(**options)
+    insts = [inst for seed in range(6) for inst in _scene16(seed)]
+    report = evaluate(model, insts, "oracle")
+    assert report.gate_stats is not None and report.attention_stats["n_instances"] > 0
+    assert json.dumps(gate_stats(model, insts)) == json.dumps(report.gate_stats)
+    assert json.dumps(attention_stats(model, insts)) == json.dumps(report.attention_stats)
+    assert gate_stats(model, []) is None and attention_stats(model, []) is None
+    assert evaluate(model, [], "oracle").gate_stats is None
 
 
 def test_gate_stats_grid2_has_only_corners():

@@ -10,7 +10,6 @@ from grasp.geometry import (
     edt_sq,
     iou,
     mask_diff,
-    mask_intersect,
     mask_union,
     pool_to_grid,
     read_mask,
@@ -67,13 +66,12 @@ def test_mask_set_operations():
     a = BinaryMask([[1, 1], [0, 0]])
     b = BinaryMask([[1, 0], [1, 0]])
     assert mask_union(a, b).a.tolist() == [[True, True], [True, False]]
-    assert mask_intersect(a, b).a.tolist() == [[True, False], [False, False]]
     assert mask_diff(a, b).a.tolist() == [[False, True], [False, False]]
 
 
 def test_mask_ops_reject_shape_mismatch():
     a, b = BinaryMask.zeros(2, 2), BinaryMask.zeros(2, 3)
-    for op in (mask_union, mask_intersect, mask_diff, iou):
+    for op in (mask_union, mask_diff, iou):
         with pytest.raises(DimensionError):
             op(a, b)
 

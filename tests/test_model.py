@@ -67,8 +67,9 @@ def test_config_from_dict_rejects_unknown_keys():
         GraspConfig.from_dict([("dim", 16)])
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.25, 1.5, "half"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.25, 1.5, "half", True, False])
 def test_bad_gate_override_is_rejected(value):
+    # a config that saves must load, and from_dict refuses a bool too
     with pytest.raises(ConfigError):
         GraspConfig(gate_override=value)
     m = GraspModel(SMALL, seed=0)
@@ -268,6 +269,26 @@ def test_regate_equals_forward_bit_for_bit(query_mod):
             a, b = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
             assert a.dtype == b.dtype and np.array_equal(a, b), (override, f.name)
         assert np.array_equal(learned.gate.data, learned_gate)  # regate leaves its input alone
+
+
+@pytest.mark.parametrize("query_mod", [False, True])
+def test_forward_is_regate_of_prefix_of_encode(query_mod):
+    cfg = GraspConfig(image_size=16, patch=8, dim=8, heads=2, n_prototypes=4, vm_hidden=4,
+                      decoder_hidden=8, sdf_query_mod=query_mod)
+    m = GraspModel(cfg, seed=2)
+    _set(m.params.groups["vm_attention"]["gamma"], 0.3)
+    _set(m.params.groups["gate"]["alpha"], 2.0)
+    _set(m.params.groups["sdf_query"]["direction"], np.linspace(-1.0, 1.0, cfg.dim))
+    inst = _small_scene()
+    prefix = m.prefix(m.encode(inst.image), inst.visible)
+    assert prefix.gate is None and prefix.logits_amodal is None
+    for override in ("config", 0.5):
+        staged = m.regate(prefix, override)
+        fresh = m.forward(inst.image, inst.visible, gate_override=override)
+        for f in dataclasses.fields(fresh):
+            a, b = getattr(staged, f.name), getattr(fresh, f.name)
+            a, b = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (override, f.name)
 
 
 def test_residual_is_prior_minus_fused():

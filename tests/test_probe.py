@@ -178,6 +178,18 @@ def test_extract_shapes_and_instance_ids():
     assert np.all(np.abs(y) <= 1.0)  # targets are diagonal-normalized
 
 
+def test_extract_features_equal_the_forward_pass_bit_for_bit():
+    model = GraspModel(SMALL, seed=1)
+    model.params.groups["vm_attention"]["gamma"].data[...] = 0.7
+    insts = _instances(3)
+    feats, y, _ = extract_probe_set(model, insts)
+    traces = [model.forward(inst.image, inst.visible) for inst in insts]
+    for position, field in (("pre_fusion", "tokens"), ("post_fusion", "fused")):
+        expect = np.concatenate([getattr(tr, field).data for tr in traces])
+        assert feats[position].tobytes() == expect.tobytes(), position
+    assert y.tobytes() == np.concatenate([tr.sdf_tokens for tr in traces]).tobytes()
+
+
 def test_extract_positions_agree_at_init_then_diverge():
     # the fusion residual enters with weight zero at init, so pre- and
     # post-fusion tokens start out identical

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from grasp.errors import ConfigError, DatasetIOError, DimensionError, IntegrityError
-from grasp.geometry import BinaryMask, iou, mask_intersect, mask_union
+from grasp.geometry import BinaryMask, iou, mask_union
 from grasp.synthdata import (
+    OCC_BINS,
     SHAPE_CLASSES,
     SceneConfig,
     generate_dataset,
     generate_scene,
     make_instance,
-    occ_bin_fractions,
     perturb_vm,
     read_dataset,
     training_vm,
@@ -29,7 +29,7 @@ def test_scene_masks_satisfy_visibility_algebra():
         for inst in generate_scene(seed):
             assert not (inst.visible.a & ~inst.amodal.a).any(), "visible leaks past amodal"
             assert mask_union(inst.visible, inst.occluded) == inst.amodal
-            assert not mask_intersect(inst.visible, inst.occluded).any()
+            assert not (inst.visible.a & inst.occluded.a).any()
             assert inst.amodal.any()
             assert inst.occ_ratio == inst.occluded.count() / inst.amodal.count()
             assert inst.shape_class in SHAPE_CLASSES
@@ -128,16 +128,12 @@ def test_occlusion_bins_are_all_populated():
     insts = generate_dataset(300, 0)
     occluded = [i for i in insts if i.occluded.any()]
     assert len(occluded) / len(insts) >= 0.4, "too few occluded instances"
-    fractions = occ_bin_fractions(insts)
-    assert set(fractions) == {"[0.0,0.25)", "[0.25,0.5)", "[0.5,0.75)", "[0.75,1.0]"}
-    for name, frac in fractions.items():
-        assert frac >= 0.05, f"bin {name} underpopulated: {frac:.3f}"
-    assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_occ_bin_fractions_empty_input():
-    unocc = [i for i in generate_dataset(50, 0) if not i.occluded.any()]
-    assert occ_bin_fractions(unocc[:1]) == {} or not unocc
+    # half-open bins with a closed last one, as np.histogram counts them
+    edges = [lo for lo, _ in OCC_BINS] + [OCC_BINS[-1][1]]
+    counts, _ = np.histogram([i.occ_ratio for i in occluded], bins=edges)
+    assert counts.sum() == len(occluded)
+    for (lo, hi), n in zip(OCC_BINS, counts):
+        assert n / len(occluded) >= 0.05, f"bin [{lo},{hi}) underpopulated: {n}"
 
 
 def test_scene_config_validation():
