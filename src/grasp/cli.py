@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -173,9 +174,10 @@ def cmd_stats(args) -> int:
     model = _load_model(args)
     _, instances = read_dataset(args.data)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    gate, attention = evalkit.mechanism_stats(model, instances)
     payload = {
-        "gate": evalkit.gate_stats(model, instances),
-        "attention": evalkit.attention_stats(model, instances),
+        "gate": gate,
+        "attention": attention,
         "config": _run_config(args, {"model": model.config.to_dict()}),
         "version": __version__,
     }
@@ -185,6 +187,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sdf(args) -> int:
+    for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} {value!r} must be finite")
     mask = read_mask(args.mask)
     field = sdf(mask)
     os.makedirs(args.out, exist_ok=True)

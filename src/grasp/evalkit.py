@@ -451,6 +451,24 @@ def attention_stats(model: GraspModel, instances: list[SceneInstance]) -> Option
     return _aggregate_attention_stats(samples) if samples else None
 
 
+def mechanism_stats(model: GraspModel, instances: list[SceneInstance]
+                    ) -> tuple[Optional[dict], Optional[dict]]:
+    """``(gate_stats, attention_stats)`` from one SDF and one prefix per instance.
+
+    The gate is taken from the prefix's SDF tokens, so each result
+    equals its own function's bit for bit at half the SDF work.
+    """
+    override = model.resolve_override()
+    samples = []
+    for inst in instances:
+        trace = model.prefix(model.encode(inst.image), inst.visible)
+        gate = applied_gate(model.gate(trace.sdf_tokens), override)
+        samples.append((inst.occ_ratio, gate.data, trace.sdf_tokens, trace.proto_attn))
+    if not samples:
+        return None, None
+    return _aggregate_gate_stats(samples, model.config.grid), _aggregate_attention_stats(samples)
+
+
 def ablate(model: GraspModel, instances: list[SceneInstance], protocol: str = "oracle",
            overrides=(None, 0.0, 0.5, 1.0), **kwargs) -> list[tuple[Optional[float], EvalReport]]:
     """Evaluate under each gate override; None means the learned gate.

@@ -11,6 +11,7 @@ come from unseen scenes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,8 +60,8 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray, lam: float = 1.0):
     y = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise DimensionError(f"probe shapes {x.shape} and {y.shape} are incompatible")
-    if lam < 0:
-        raise ConfigError(f"ridge penalty {lam} must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise ConfigError(f"ridge penalty {lam} must be finite and nonnegative")
     x_mean = x.mean(axis=0)
     xc = x - x_mean
     lhs = xc.T @ xc + lam * np.eye(x.shape[1])

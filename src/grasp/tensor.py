@@ -27,8 +27,9 @@ Most ops are elementary, one numpy expression per pullback.  Two are
 fused: ``dense`` is an affine layer and its activation in one node, and
 multi-head attention is two nodes between its projection matmuls
 (softmax weights, then the weighted values).  Their hand-written
-pullbacks reproduce the elementary chains bit for bit; with the default
-model config one instance's loss traces to 65 tensors.
+pullbacks reproduce the elementary chains bit for bit, as does the
+segmentation loss node built by ``grasp.training.total_loss``; with the
+default model config one instance's loss traces to 34 tensors.
 
 A single tape is built and swept on one thread; nothing here is
 thread-safe and nothing needs to be at this scale.

@@ -68,32 +68,66 @@ class LossBreakdown:
               "amodal", "occluded", "total")
 
 
+def _bce_dice(x: np.ndarray, t: np.ndarray):
+    """One head's BCE and Dice values and the pull of the gradient their sum receives.
+
+    The forward evaluates ``bce_with_logits`` and ``dice_loss``'s numpy
+    expressions in their order, with one sigmoid shared by the Dice terms
+    and the BCE pull.  The pull repeats the elementary chain's arithmetic
+    and its accumulation order into the logits: the Dice sigmoid's term,
+    then the ``x*t`` term, then the softplus term.
+    """
+    n = x.size
+    bce = (np.logaddexp(0.0, x) - x * t).mean()
+    p = T._sigmoid_arr(x)
+    num = 2.0 * (p * t).sum() + DICE_EPS
+    den = p.sum() + t.sum() + DICE_EPS
+    dice = 1.0 - num / den
+
+    def pull(g):
+        g_q = -g
+        g_den = -g_q * num / (den * den)
+        g_ov = g_q / den * 2.0
+        gd = float(g) / n
+        return (float(g_den) + float(g_ov) * t) * p * (1.0 - p) + (-gd) * t + gd * p
+
+    return bce, dice, pull
+
+
 def total_loss(trace: ForwardTrace, amodal_gt: BinaryMask, visible_gt: BinaryMask,
                occ_weight: float = OCC_WEIGHT) -> tuple[Tensor, LossBreakdown]:
-    """Combined loss; the occluded target is amodal_gt minus visible_gt."""
+    """Combined loss; the occluded target is amodal_gt minus visible_gt.
+
+    Both heads' BCE and Dice terms are one tape node.  Its value, its
+    breakdown and the gradients it sends to the two logit tensors are
+    bit-equal to composing ``bce_with_logits`` and ``dice_loss`` per head
+    as ``amodal + occ_weight * occluded``.
+    """
     if (visible_gt.a & ~amodal_gt.a).any():
         raise IntegrityError("ground-truth visible mask leaks outside the amodal mask")
     occ_gt = mask_diff(amodal_gt, visible_gt)
+    w = float(occ_weight)
 
-    bce_a = bce_with_logits(trace.logits_amodal, amodal_gt.a)
-    dice_a = dice_loss(trace.logits_amodal, amodal_gt.a)
-    bce_o = bce_with_logits(trace.logits_occ, occ_gt.a)
-    dice_o = dice_loss(trace.logits_occ, occ_gt.a)
-
-    amodal = T.add(bce_a, dice_a)
-    occluded = T.add(bce_o, dice_o)
-    total = T.add(amodal, T.mul(float(occ_weight), occluded))
+    bce_a, dice_a, pull_a = _bce_dice(trace.logits_amodal.data, amodal_gt.a.astype(np.float64))
+    bce_o, dice_o, pull_o = _bce_dice(trace.logits_occ.data, occ_gt.a.astype(np.float64))
+    amodal = bce_a + dice_a
+    occluded = bce_o + dice_o
+    total = amodal + w * occluded
+    loss = T._attach(np.array(total), [
+        (trace.logits_amodal, pull_a),
+        (trace.logits_occ, lambda g: pull_o(g * w)),
+    ])
 
     breakdown = LossBreakdown(
-        bce_amodal=bce_a.item(),
-        dice_amodal=dice_a.item(),
-        bce_occluded=bce_o.item(),
-        dice_occluded=dice_o.item(),
-        amodal=amodal.item(),
-        occluded=occluded.item(),
-        total=total.item(),
+        bce_amodal=float(bce_a),
+        dice_amodal=float(dice_a),
+        bce_occluded=float(bce_o),
+        dice_occluded=float(dice_o),
+        amodal=float(amodal),
+        occluded=float(occluded),
+        total=float(total),
     )
-    return total, breakdown
+    return loss, breakdown
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import count_model_calls
-from grasp import __version__
+from grasp import __version__, evalkit
 from grasp.cli import main
 from grasp.errors import _FIELD_TYPES
 from grasp.geometry import BinaryMask, write_mask
 from grasp.model import GraspConfig, GraspModel
 from grasp.pgm import read_pgm
-from grasp.synthdata import SceneConfig, generate_scene, perturb_vm
+from grasp.synthdata import SceneConfig, generate_scene, perturb_vm, read_dataset
 from grasp.training import TrainConfig
 
 SMALL_CONFIG = {
@@ -394,6 +394,27 @@ def test_analysis_commands_run_only_the_stages_they_read(tmp_path, capsys, monke
     capsys.readouterr()
 
 
+def test_stats_json_keeps_its_bytes_from_one_sdf_per_instance(tmp_path, capsys, monkeypatch):
+    data = _gen(tmp_path, "data", n=4, config=_write_config(tmp_path))
+    model = GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0)
+    model.params.groups["gate"]["alpha"].data[...] = 0.7
+    ckpt = tmp_path / "model.ckpt"
+    model.save(ckpt)
+    _, instances = read_dataset(data)
+    # the payload the separate gate and attention passes give
+    want = {"gate": evalkit.gate_stats(model, instances),
+            "attention": evalkit.attention_stats(model, instances),
+            "config": {"version": __version__, "command": "stats", "seed": 0,
+                       "model": model.config.to_dict()},
+            "version": __version__}
+    calls = count_model_calls(monkeypatch, "sdf_tokens")
+    out = tmp_path / "stats.json"
+    assert main(["stats", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)]) == 0
+    assert calls == {"sdf_tokens": len(instances)}
+    assert out.read_text() == json.dumps(want, indent=1, sort_keys=True) + "\n"
+    capsys.readouterr()
+
+
 # -- malformed inputs end in one error line -----------------------------------
 
 
@@ -408,6 +429,26 @@ def _rewrite_checkpoint(src, dst, fix_header=lambda h: None, fix_body=lambda b: 
 
 def _nan_first_block(body):
     return b"\x00\x00\x00\x00\x00\x00\xf8\x7f" + body[8:]
+
+
+def test_non_finite_numbers_end_in_one_config_error_line(tmp_path, capsys):
+    data = _gen(tmp_path, "data", n=4, config=_write_config(tmp_path))
+    ckpt = tmp_path / "model.ckpt"
+    GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0).save(ckpt)
+    write_mask(tmp_path / "m.pgm", BinaryMask(np.eye(8, dtype=bool)))
+    sdf_argv = ["sdf", "--mask", str(tmp_path / "m.pgm"), "--out", str(tmp_path / "sdf")]
+    probe_argv = ["probe", "--ckpt", str(ckpt), "--data", str(data),
+                  "--out", str(tmp_path / "probe")]
+    cases = [sdf_argv + [f"{flag}={value}"] for flag in ("--alpha", "--beta")
+             for value in ("nan", "inf", "-inf")]
+    cases += [probe_argv + [f"--ridge-lambda={value}"] for value in ("nan", "inf")]
+    capsys.readouterr()
+    for argv in cases:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:ConfigError:"), (argv, err)
+    assert not (tmp_path / "sdf").exists()
+    assert not (tmp_path / "probe").exists()
 
 
 def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):

@@ -18,6 +18,7 @@ from grasp.evalkit import (
     evaluate,
     gate_stats,
     js_divergence,
+    mechanism_stats,
     postprocess_union,
     predict,
     stratify,
@@ -414,6 +415,17 @@ def test_stats_equal_the_oracle_evaluation_bit_for_bit(options):
     assert json.dumps(attention_stats(model, insts)) == json.dumps(report.attention_stats)
     assert gate_stats(model, []) is None and attention_stats(model, []) is None
     assert evaluate(model, [], "oracle").gate_stats is None
+
+
+@pytest.mark.parametrize("options", [{}, {"gate_override": 0.5}, {"sdf_query_mod": True}])
+def test_mechanism_stats_equal_the_two_stats_functions_from_one_sdf(options, monkeypatch):
+    model = _jittered(**options)
+    insts = [inst for seed in range(6) for inst in _scene16(seed)]
+    want = json.dumps([gate_stats(model, insts), attention_stats(model, insts)])
+    calls = count_model_calls(monkeypatch, "sdf_tokens", "prefix")
+    assert json.dumps(list(mechanism_stats(model, insts))) == want
+    assert calls == {"sdf_tokens": len(insts), "prefix": len(insts)}
+    assert mechanism_stats(model, []) == (None, None)
 
 
 def test_gate_stats_grid2_has_only_corners():

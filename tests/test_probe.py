@@ -3,6 +3,7 @@ least-squares oracle, planted-signal recovery, instance-level splits,
 probe positions, and report serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -104,6 +105,13 @@ def test_ridge_validates_shapes_and_penalty():
         ridge_fit(np.zeros(5), np.zeros(5))
     with pytest.raises(ConfigError):
         ridge_fit(np.zeros((5, 2)), np.zeros(5), lam=-1.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_ridge_rejects_a_non_finite_penalty(lam):
+    rng = np.random.default_rng(9)
+    with pytest.raises(ConfigError, match="finite"):
+        ridge_fit(rng.standard_normal((6, 2)), rng.standard_normal(6), lam=lam)
 
 
 # -- scores -------------------------------------------------------------------

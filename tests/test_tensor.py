@@ -590,11 +590,11 @@ def test_dense_rejects_bad_shapes_and_activations():
         dense(x, w, b, "sigmoid")
 
 
-def test_one_instance_loss_traces_to_65_nodes():
+def test_one_instance_loss_traces_to_34_nodes():
     model = GraspModel(GraspConfig(), seed=0)
     inst = generate_scene(3, SceneConfig())[0]
     loss, _ = total_loss(model.forward(inst.image, inst.visible), inst.amodal, inst.visible)
-    assert len(Tape.trace(loss).tensors) == 65
+    assert len(Tape.trace(loss).tensors) == 34
 
 
 def _sigmoid_masked(x):

@@ -1,6 +1,8 @@
 """Losses, the optimizer, the schedule, and the training loop."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ import pytest
 from conftest import gradcheck
 from grasp import training
 from grasp.errors import ConfigError, IntegrityError, TrainingDiverged
-from grasp.geometry import BinaryMask
+from grasp.geometry import BinaryMask, mask_diff
 from grasp.model import GraspConfig, GraspModel, load_checkpoint
-from grasp.synthdata import SceneConfig, generate_dataset
+from grasp.synthdata import SceneConfig, generate_dataset, generate_scene
 from grasp.tensor import Tensor, backward, zero_grads
 from grasp.training import (
     DICE_EPS,
@@ -173,6 +175,85 @@ def test_total_loss_target_is_insensitive_to_the_fed_mask():
     # same trace, same targets: only the *inputs* may vary, never the targets
     _, b_again = total_loss(clean, inst.amodal, inst.visible)
     assert b_clean == b_again
+
+
+def _chain_total_loss(trace, amodal_gt, visible_gt, occ_weight=training.OCC_WEIGHT):
+    """The combined loss as a chain of elementary tape ops, one per expression."""
+    occ_gt = mask_diff(amodal_gt, visible_gt)
+    bce_a = bce_with_logits(trace.logits_amodal, amodal_gt.a)
+    dice_a = dice_loss(trace.logits_amodal, amodal_gt.a)
+    bce_o = bce_with_logits(trace.logits_occ, occ_gt.a)
+    dice_o = dice_loss(trace.logits_occ, occ_gt.a)
+    amodal = bce_a + dice_a
+    occluded = bce_o + dice_o
+    total = amodal + float(occ_weight) * occluded
+    terms = (bce_a, dice_a, bce_o, dice_o, amodal, occluded, total)
+    return total, LossBreakdown(*(t.item() for t in terms))
+
+
+def _open_pathways(model):
+    # zero-init scalars block gradients at exact init
+    groups = model.params.groups
+    groups["vm_attention"]["gamma"].data[...] = 0.2
+    groups["gate"]["alpha"].data[...] = 0.7
+    groups["gate"]["beta"].data[...] = -0.1
+    groups["sdf_query"]["direction"].data[...] = 0.05
+
+
+def _loss_run(loss_fn, model, inst, visible_gt, occ_weight):
+    """Breakdown, both logits' gradients and every parameter gradient of one loss."""
+    trainable = model.params.trainable()
+    trace = _trace(model, inst)
+    leaves = [Tensor(t.data, requires_grad=True) for t in (trace.logits_amodal, trace.logits_occ)]
+    on_leaves = replace(trace, logits_amodal=leaves[0], logits_occ=leaves[1])
+    loss, breakdown = loss_fn(on_leaves, inst.amodal, visible_gt, occ_weight=occ_weight)
+    backward(loss)
+    zero_grads(trainable)
+    loss, again = loss_fn(trace, inst.amodal, visible_gt, occ_weight=occ_weight)
+    (loss * 0.125).backward()  # the batch-8 scale train applies
+    assert again == breakdown
+    return breakdown, [t.grad for t in leaves] + [t.grad.copy() for t in trainable]
+
+
+@pytest.mark.parametrize("case", ["default", "sdf_query_mod 8 heads", "occ_weight 0",
+                                  "occ_weight 2", "empty occluded target"])
+def test_total_loss_is_bit_equal_to_the_elementary_chain(case):
+    cfg = GraspConfig(sdf_query_mod=True, heads=8) if case.startswith("sdf") else GraspConfig()
+    occ_weight = {"occ_weight 0": 0.0, "occ_weight 2": 2.0}.get(case, training.OCC_WEIGHT)
+    model = GraspModel(cfg, seed=3)
+    _open_pathways(model)
+    inst = next(i for i in generate_scene(5, SceneConfig()) if i.occluded.any())
+    visible_gt = inst.amodal if case == "empty occluded target" else inst.visible
+    got_b, got = _loss_run(total_loss, model, inst, visible_gt, occ_weight)
+    want_b, want = _loss_run(_chain_total_loss, model, inst, visible_gt, occ_weight)
+    assert [getattr(got_b, f).hex() for f in LossBreakdown.FIELDS] == \
+        [getattr(want_b, f).hex() for f in LossBreakdown.FIELDS]
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.tobytes() == b.tobytes(), f"{case}: gradient {i} differs"
+
+
+def test_total_loss_gradients():
+    rng = np.random.default_rng(8)
+    amodal = BinaryMask(rng.random((5, 4)) < 0.6)
+    visible = BinaryMask(amodal.a & (rng.random((5, 4)) < 0.5))
+    xa = Tensor(rng.normal(0.0, 1.5, (5, 4)), requires_grad=True)
+    xo = Tensor(rng.normal(0.0, 1.5, (5, 4)), requires_grad=True)
+    trace = SimpleNamespace(logits_amodal=xa, logits_occ=xo)
+    gradcheck(lambda: total_loss(trace, amodal, visible)[0], [xa, xo], label="total_loss")
+
+
+def test_train_is_bit_equal_to_training_on_the_elementary_chain(monkeypatch):
+    insts = _tiny_data(6)
+    cfg = TrainConfig(steps=12, batch=3, lr=3e-3, seed=5)
+    fused = GraspModel(SMALL, seed=4)
+    got = train(fused, insts, cfg)
+    monkeypatch.setattr(training, "total_loss", _chain_total_loss)
+    chain = GraspModel(SMALL, seed=4)
+    want = train(chain, insts, cfg)
+    assert got.history == want.history
+    for (_, _, a), (_, _, b) in zip(fused.params.named_all(), chain.params.named_all()):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_total_loss_rejects_visible_outside_amodal():
