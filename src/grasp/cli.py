@@ -195,7 +195,7 @@ def cmd_sdf(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     sdf_to_csv(field, os.path.join(args.out, "sdf.csv"))
     sdf_to_pgm(field, os.path.join(args.out, "sdf.pgm"))
-    gate = sigmoid(args.alpha * field.normalized + args.beta).data
+    gate = sigmoid(args.alpha * field.normalized + args.beta)
     write_pgm(os.path.join(args.out, "gate.pgm"),
               np.clip(np.rint(gate * 255.0), 0, 255).astype(np.uint8))
     _write_json(

@@ -40,7 +40,7 @@ VM_BINS = ((0.5, 0.65), (0.65, 0.75), (0.75, 0.85), (0.85, 0.95), (0.95, 1.0))
 
 def _masks(trace, threshold: float) -> tuple[BinaryMask, BinaryMask]:
     cut = _logit(threshold)
-    return BinaryMask(trace.logits_amodal.data > cut), BinaryMask(trace.logits_occ.data > cut)
+    return BinaryMask(trace.logits_amodal > cut), BinaryMask(trace.logits_occ > cut)
 
 
 def _logit(p: float) -> float:
@@ -51,8 +51,8 @@ def _logit(p: float) -> float:
 
 def predict(model: GraspModel, image: np.ndarray, v_input: BinaryMask,
             threshold: float = 0.5, gate_override: Optional[float] = "config"):
-    """One forward pass -> (amodal mask, occluded mask, trace)."""
-    trace = model.forward(image, v_input, gate_override=gate_override)
+    """One untaped forward pass -> (amodal mask, occluded mask, trace of plain arrays)."""
+    trace = model.untaped().forward(image, v_input, gate_override=gate_override)
     return (*_masks(trace, threshold), trace)
 
 
@@ -81,12 +81,16 @@ def two_pass(model: GraspModel, image: np.ndarray, v_input: BinaryMask,
     original input when that estimate is empty.  It reuses the first
     pass's image tokens, so the image is encoded once.
     """
+    model = model.untaped()
     first = model.forward(image, v_input, gate_override=gate_override)
     return _second_pass(model, v_input, first, threshold, gate_override)
 
 
 def _second_pass(model, v_input, first, threshold, gate_override) -> TwoPassResult:
-    """Two-pass inference given the first pass's trace, whose image tokens it reuses."""
+    """Two-pass inference given an untaped model and the first pass's trace.
+
+    The second pass reuses the first one's image tokens.
+    """
     a1, o1 = _masks(first, threshold)
     v_ref = mask_diff(a1, o1)
     fallback = not v_ref.any()
@@ -201,7 +205,8 @@ def evaluate(model, instances: list[SceneInstance], protocol: str = "oracle", *,
     ``model`` is normally a GraspModel; any callable
     ``(image, v_input) -> (amodal_mask, occluded_mask)`` also works
     (mechanism stats are then skipped), which keeps the metric plumbing
-    testable against stub predictors with hand-computable IoUs.
+    testable against stub predictors with hand-computable IoUs.  A
+    model runs untaped.
     """
     return _sweep(model, instances, protocol, (gate_override,), use_postprocess=use_postprocess,
                   use_two_pass=use_two_pass, threshold=threshold, eval_seed=eval_seed,
@@ -224,6 +229,8 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
         raise ConfigError(f"unknown occluded-IoU operand choice {occ_metric!r}")
 
     is_model = isinstance(model, GraspModel)
+    if is_model:
+        model = model.untaped()
     rows = [[] for _ in overrides]
     samples = [[] for _ in overrides]  # (occ_ratio, per-token gate, sdf, prototype attention)
     for index, inst in enumerate(instances):
@@ -259,7 +266,7 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
 
             mean_gate = None
             if trace is not None:
-                gate_vals = trace.gate.data
+                gate_vals = trace.gate
                 mean_gate = float(gate_vals.mean())
                 if collect_stats:
                     samples[k].append((inst.occ_ratio, gate_vals, trace.sdf_tokens,
@@ -429,12 +436,13 @@ def gate_stats(model: GraspModel, instances: list[SceneInstance]) -> Optional[di
     the SDF and the gate, not the forward pass; the result equals
     ``evaluate(model, instances, "oracle").gate_stats``.
     """
+    model = model.untaped()
     override = model.resolve_override()
     samples = []
     for inst in instances:
         sdf_tok = model.sdf_tokens(inst.visible)
         gate = applied_gate(model.gate(sdf_tok), override)
-        samples.append((inst.occ_ratio, gate.data, sdf_tok, None))
+        samples.append((inst.occ_ratio, gate, sdf_tok, None))
     return _aggregate_gate_stats(samples, model.config.grid) if samples else None
 
 
@@ -444,6 +452,7 @@ def attention_stats(model: GraspModel, instances: list[SceneInstance]) -> Option
     Attention precedes the gate, so this runs the forward pass's prefix
     only; the result equals ``evaluate(model, instances, "oracle").attention_stats``.
     """
+    model = model.untaped()
     samples = []
     for inst in instances:
         trace = model.prefix(model.encode(inst.image), inst.visible)
@@ -458,12 +467,13 @@ def mechanism_stats(model: GraspModel, instances: list[SceneInstance]
     The gate is taken from the prefix's SDF tokens, so each result
     equals its own function's bit for bit at half the SDF work.
     """
+    model = model.untaped()
     override = model.resolve_override()
     samples = []
     for inst in instances:
         trace = model.prefix(model.encode(inst.image), inst.visible)
         gate = applied_gate(model.gate(trace.sdf_tokens), override)
-        samples.append((inst.occ_ratio, gate.data, trace.sdf_tokens, trace.proto_attn))
+        samples.append((inst.occ_ratio, gate, trace.sdf_tokens, trace.proto_attn))
     if not samples:
         return None, None
     return _aggregate_gate_stats(samples, model.config.grid), _aggregate_attention_stats(samples)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -101,11 +102,15 @@ def _check_gate_override(value) -> None:
         raise ConfigError(f"gate override {value!r} is not None or a number in [0, 1]")
 
 
-def applied_gate(gate: Tensor, gate_override: Optional[float]) -> Tensor:
-    """The gate that inject applies: the learned ``gate``, or the override's constant."""
+def applied_gate(gate, gate_override: Optional[float]):
+    """The gate that inject applies: the learned ``gate``, or the override's constant.
+
+    The constant is a Tensor when ``gate`` is one and a plain array otherwise.
+    """
     if gate_override is None:
         return gate
-    return Tensor(np.full(gate.shape[0], float(gate_override)))
+    constant = np.full(gate.shape[0], float(gate_override))
+    return Tensor(constant) if isinstance(gate, Tensor) else constant
 
 
 N_FROZEN_BLOCKS = 4
@@ -113,7 +118,10 @@ N_FROZEN_BLOCKS = 4
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate of one forward pass, for losses and analysis."""
+    """Every intermediate of one forward pass, for losses and analysis.
+
+    The fields typed Tensor are plain arrays in a trace of an untaped model.
+    """
 
     tokens: Tensor  # encoded image tokens
     mask_tokens: Tensor  # encoded visible-mask tokens
@@ -225,11 +233,30 @@ class GraspParams:
             yield "frozen_encoder", name, t
         yield from self.named_trainable()
 
+    def arrays(self) -> "GraspParams":
+        """The same parameters as their own arrays, in the same groups; nothing is copied."""
+        view = object.__new__(GraspParams)
+        view.seed = self.seed
+        view.frozen = {name: T.array_of(t) for name, t in self.frozen.items()}
+        view.groups = {group: {name: T.array_of(t) for name, t in tensors.items()}
+                       for group, tensors in self.groups.items()}
+        return view
+
 
 class GraspModel:
     def __init__(self, config: GraspConfig, seed: int = 0, params: GraspParams | None = None):
         self.config = config
         self.params = params if params is not None else GraspParams(config, seed)
+
+    def untaped(self) -> "GraspModel":
+        """This model over its parameters' arrays, for inference.
+
+        Every stage then runs on plain arrays and returns them: no Tensor,
+        pullback or tape is built, and each value is bit-equal to the
+        taped model's.  The arrays are shared, so later parameter updates
+        show through.
+        """
+        return GraspModel(self.config, params=self.params.arrays())
 
     # -- stages ---------------------------------------------------------
 
@@ -240,9 +267,8 @@ class GraspModel:
             raise DimensionError(
                 f"image shape {image.shape} != configured {cfg.image_size}x{cfg.image_size}"
             )
-        x = Tensor(T.patchify(image, cfg.patch))
         feats = []
-        h = x
+        h = T.patchify(image, cfg.patch)
         for i in range(N_FROZEN_BLOCKS):
             w = self.params.frozen[f"block{i}_w"]
             b = self.params.frozen[f"block{i}_b"]
@@ -260,7 +286,7 @@ class GraspModel:
         ty, tx = np.divmod(np.arange(cfg.tokens), g)
         feats = np.stack([occ, (ty + 0.5) / g, (tx + 0.5) / g], axis=1)
         p = self.params.groups["vm_encoder"]
-        h = T.dense(Tensor(feats), p["w1"], p["b1"], "relu")
+        h = T.dense(feats, p["w1"], p["b1"], "relu")
         return T.dense(h, p["w2"], p["b2"])
 
     def vm_encode_fuse(self, tokens: Tensor, visible: BinaryMask):
@@ -289,8 +315,8 @@ class GraspModel:
         queries = fused
         if cfg.sdf_query_mod:
             d = self.params.groups["sdf_query"]["direction"]
-            ray = T.add_rowvec(Tensor(np.zeros((cfg.tokens, cfg.dim))), d)
-            queries = T.add(fused, T.scale_rows(ray, Tensor(sdf_tok)))
+            ray = T.add_rowvec(np.zeros((cfg.tokens, cfg.dim)), d)
+            queries = T.add(fused, T.scale_rows(ray, sdf_tok))
         p = self.params.groups["spm_attention"]
         bank = self.params.groups["prototypes"]["bank"]
         attn_params = AttentionParams(p["wq"], p["wk"], p["wv"], p["wo"])
@@ -301,7 +327,7 @@ class GraspModel:
     def gate(self, sdf_tok: np.ndarray) -> Tensor:
         """Per-token sigmoid gate over normalized signed distance."""
         g = self.params.groups["gate"]
-        return T.sigmoid(T.add(T.mul(g["alpha"], Tensor(sdf_tok)), g["beta"]))
+        return T.sigmoid(T.add(T.mul(g["alpha"], sdf_tok), g["beta"]))
 
     def inject(self, fused: Tensor, prior: Tensor, residual: Tensor, gate: Tensor,
                gate_override: Optional[float]) -> tuple[Tensor, Tensor]:
@@ -352,7 +378,8 @@ class GraspModel:
         fused, mask_tokens = self.vm_encode_fuse(tokens, visible)
         prior, residual, attn = self.spm(fused, sdf_tok)
         return ForwardTrace(tokens=tokens, mask_tokens=mask_tokens, fused=fused, prior=prior,
-                            residual=residual, sdf_tokens=sdf_tok, proto_attn=attn.data.copy())
+                            residual=residual, sdf_tokens=sdf_tok,
+                            proto_attn=np.array(T.array_of(attn)))
 
     def forward(self, image: np.ndarray, visible: BinaryMask,
                 gate_override: Optional[float] = "config") -> ForwardTrace:
@@ -421,11 +448,20 @@ def save_checkpoint(path, model: GraspModel, step: int = 0, extra: dict | None =
     }
     if extra:
         header["extra"] = extra
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for blob in blobs:
-            fh.write(blob)
+    # write a sibling file and rename it over ``path``: a write that fails
+    # leaves the previous checkpoint whole (durability across power loss is
+    # out of scope, as that would need an fsync)
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+            fh.write(b"\n")
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 _HEADER_FIELDS = {"config": dict, "seed": int, "step": int, "params": list}

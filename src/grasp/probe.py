@@ -32,8 +32,9 @@ def extract_probe_set(model: GraspModel, instances: list[SceneInstance], seed: i
     pre_fusion reads the encoded image tokens, post_fusion reads them
     after visible-mask fusion, random_baseline draws features from a
     seeded standard normal of the same shape.  The targets are the
-    model's SDF tokens.
+    model's SDF tokens.  The model runs untaped.
     """
+    model = model.untaped()
     feats = {position: [] for position in POSITIONS}
     targets, ids = [], []
     for index, inst in enumerate(instances):
@@ -41,9 +42,9 @@ def extract_probe_set(model: GraspModel, instances: list[SceneInstance], seed: i
         tokens = model.encode(inst.image)
         fused, _ = model.vm_encode_fuse(tokens, inst.visible)
         rng = np.random.default_rng(derive_seed(seed, "probe-random", index))
-        feats["pre_fusion"].append(tokens.data)
-        feats["post_fusion"].append(fused.data)
-        feats["random_baseline"].append(rng.standard_normal(tokens.data.shape))
+        feats["pre_fusion"].append(tokens)
+        feats["post_fusion"].append(fused)
+        feats["random_baseline"].append(rng.standard_normal(tokens.shape))
         targets.append(sdf_tok)
         ids.append(np.full(sdf_tok.shape[0], index))
     features = {position: np.concatenate(f) for position, f in feats.items()}

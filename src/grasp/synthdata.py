@@ -271,17 +271,26 @@ def _disc_offsets(radius: int) -> list[tuple[int, int]]:
     ]
 
 
+def _disc_shifts(arr: np.ndarray, radius: int):
+    """``_translate(arr, dy, dx)`` for each disc offset, as views of one zero-padded copy."""
+    h, w = arr.shape
+    pad = np.zeros((h + 2 * radius, w + 2 * radius), dtype=arr.dtype)
+    pad[radius:radius + h, radius:radius + w] = arr
+    for dy, dx in _disc_offsets(radius):
+        yield pad[radius - dy:radius - dy + h, radius - dx:radius - dx + w]
+
+
 def _dilate(arr: np.ndarray, radius: int) -> np.ndarray:
     out = np.zeros_like(arr)
-    for dy, dx in _disc_offsets(radius):
-        out |= _translate(arr, dy, dx)
+    for shifted in _disc_shifts(arr, radius):
+        out |= shifted
     return out
 
 
 def _erode(arr: np.ndarray, radius: int) -> np.ndarray:
     out = np.ones_like(arr)
-    for dy, dx in _disc_offsets(radius):
-        out &= _translate(arr, dy, dx)
+    for shifted in _disc_shifts(arr, radius):
+        out &= shifted
     return out
 
 

@@ -21,7 +21,16 @@ arrays are marked read-only at construction.  Only leaves (parameters:
 tensors built with ``requires_grad=True``) own a gradient buffer, zeroed
 at construction and only ever added to; call :func:`zero_grads` between
 optimizer steps.  Interior gradients exist only inside the backward
-sweep, so a forward pass allocates none.
+sweep.
+
+Each op's forward arithmetic, with its shape and dimension checks, is
+one plain-array function (``_<op>_arr``).  An op given no Tensor
+operand returns that function's array: no Tensor, pullback or tape is
+built, which is how inference runs the model's stages (see
+``GraspModel.untaped``).  Given a Tensor, the op coerces the other
+operands, calls the same function on the arrays and records the
+pullbacks, so the taped and untaped values are bit-equal by
+construction.
 
 Most ops are elementary, one numpy expression per pullback.  Two are
 fused: ``dense`` is an affine layer and its activation in one node, and
@@ -244,6 +253,19 @@ def zero_grads(tensors):
 # -- op helpers --------------------------------------------------------
 
 
+def array_of(x):
+    """The array behind an operand: a Tensor's data, or the operand itself."""
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _untaped(*operands) -> bool:
+    """True when no operand is a Tensor: the op then returns its plain-array forward."""
+    for x in operands:
+        if isinstance(x, Tensor):
+            return False
+    return True
+
+
 def _coerce(x):
     if isinstance(x, Tensor):
         return x
@@ -252,12 +274,6 @@ def _coerce(x):
 
 def _is_scalar(t: Tensor) -> bool:
     return t.data.ndim == 0
-
-
-def _check_elementwise(name, a, b):
-    if a.data.shape == b.data.shape or _is_scalar(a) or _is_scalar(b):
-        return
-    raise DimensionError(f"{name}: shapes {a.data.shape} and {b.data.shape} are incompatible")
 
 
 def _fit(g, t: Tensor):
@@ -279,32 +295,44 @@ def _attach(arr, pairs):
 
 # -- arithmetic ---------------------------------------------------------
 
+_ELEMENTWISE = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
+
+
+def _elementwise_arr(name, a, b):
+    if not (np.shape(a) == np.shape(b) or np.ndim(a) == 0 or np.ndim(b) == 0):
+        raise DimensionError(f"{name}: shapes {np.shape(a)} and {np.shape(b)} are incompatible")
+    return _ELEMENTWISE[name](a, b)
+
 
 def add(a, b):
+    if _untaped(a, b):
+        return _elementwise_arr("add", a, b)
     a, b = _coerce(a), _coerce(b)
-    _check_elementwise("add", a, b)
-    out = a.data + b.data
+    out = _elementwise_arr("add", a.data, b.data)
     return _attach(out, [(a, lambda g: _fit(g, a)), (b, lambda g: _fit(g, b))])
 
 
 def sub(a, b):
+    if _untaped(a, b):
+        return _elementwise_arr("sub", a, b)
     a, b = _coerce(a), _coerce(b)
-    _check_elementwise("sub", a, b)
-    out = a.data - b.data
+    out = _elementwise_arr("sub", a.data, b.data)
     return _attach(out, [(a, lambda g: _fit(g, a)), (b, lambda g: _fit(-g, b))])
 
 
 def mul(a, b):
+    if _untaped(a, b):
+        return _elementwise_arr("mul", a, b)
     a, b = _coerce(a), _coerce(b)
-    _check_elementwise("mul", a, b)
-    out = a.data * b.data
+    out = _elementwise_arr("mul", a.data, b.data)
     return _attach(out, [(a, lambda g: _fit(g * b.data, a)), (b, lambda g: _fit(g * a.data, b))])
 
 
 def div(a, b):
+    if _untaped(a, b):
+        return _elementwise_arr("div", a, b)
     a, b = _coerce(a), _coerce(b)
-    _check_elementwise("div", a, b)
-    out = a.data / b.data
+    out = _elementwise_arr("div", a.data, b.data)
     return _attach(
         out,
         [
@@ -315,27 +343,39 @@ def div(a, b):
 
 
 def neg(a):
+    if _untaped(a):
+        return np.negative(a)
     a = _coerce(a)
-    return _attach(-a.data, [(a, lambda g: -g)])
+    return _attach(np.negative(a.data), [(a, lambda g: -g)])
+
+
+def _matmul_arr(a, b):
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(f"matmul needs 2-d operands, got shapes {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
+    return a @ b
 
 
 def matmul(a, b):
+    if _untaped(a, b):
+        return _matmul_arr(a, b)
     a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(
-            f"matmul needs 2-d operands, got shapes {a.data.shape} and {b.data.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul: shapes {a.data.shape} and {b.data.shape} do not chain")
-    out = a.data @ b.data
+    out = _matmul_arr(a.data, b.data)
     return _attach(out, [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)])
 
 
+def _transpose_arr(a):
+    if a.ndim != 2:
+        raise DimensionError(f"transpose needs a 2-d tensor, got shape {a.shape}")
+    return a.T.copy()
+
+
 def transpose(a):
+    if _untaped(a):
+        return _transpose_arr(a)
     a = _coerce(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose needs a 2-d tensor, got shape {a.data.shape}")
-    return _attach(a.data.T.copy(), [(a, lambda g: g.T)])
+    return _attach(_transpose_arr(a.data), [(a, lambda g: g.T)])
 
 
 # -- pointwise nonlinearities -------------------------------------------
@@ -349,42 +389,63 @@ def _sigmoid_arr(x):
 
 
 def sigmoid(a):
+    if _untaped(a):
+        return _sigmoid_arr(a)
     a = _coerce(a)
     y = _sigmoid_arr(a.data)
     return _attach(y, [(a, lambda g: g * y * (1.0 - y))])
 
 
+def _relu_arr(x):
+    return np.where(x > 0, x, 0.0)
+
+
 def relu(a):
+    if _untaped(a):
+        return _relu_arr(a)
     a = _coerce(a)
-    mask = a.data > 0
-    return _attach(np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
+    return _attach(_relu_arr(a.data), [(a, lambda g: g * (a.data > 0))])
 
 
 def tanh(a):
+    if _untaped(a):
+        return np.tanh(a)
     a = _coerce(a)
     y = np.tanh(a.data)
     return _attach(y, [(a, lambda g: g * (1.0 - y * y))])
 
 
+def _softplus_arr(x):
+    return np.logaddexp(0.0, x)
+
+
 def softplus(a):
     """log(1 + exp(x)), evaluated stably for large |x|."""
+    if _untaped(a):
+        return _softplus_arr(a)
     a = _coerce(a)
-    out = np.logaddexp(0.0, a.data)
-    return _attach(out, [(a, lambda g: g * _sigmoid_arr(a.data))])
+    return _attach(_softplus_arr(a.data), [(a, lambda g: g * _sigmoid_arr(a.data))])
 
 
 def absolute(a):
+    if _untaped(a):
+        return np.abs(a)
     a = _coerce(a)
     return _attach(np.abs(a.data), [(a, lambda g: g * np.sign(a.data))])
 
 
+def _softmax_arr(x, axis):
+    if not -x.ndim <= axis < x.ndim:
+        raise DimensionError(f"softmax: axis {axis} out of range for shape {x.shape}")
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a, axis):
+    if _untaped(a):
+        return _softmax_arr(a, axis)
     a = _coerce(a)
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise DimensionError(f"softmax: axis {axis} out of range for shape {a.data.shape}")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax_arr(a.data, axis)
 
     def pull(g):
         return y * (g - (g * y).sum(axis=axis, keepdims=True))
@@ -395,37 +456,58 @@ def softmax(a, axis):
 # -- reductions and structure -------------------------------------------
 
 
+def _tsum_arr(x):
+    return np.array(x.sum())
+
+
 def tsum(a):
+    if _untaped(a):
+        return _tsum_arr(a)
     a = _coerce(a)
-    out = np.array(a.data.sum())
-    return _attach(out, [(a, lambda g: np.full(a.data.shape, float(g)))])
+    return _attach(_tsum_arr(a.data), [(a, lambda g: np.full(a.data.shape, float(g)))])
+
+
+def _tmean_arr(x):
+    return np.array(x.mean())
 
 
 def tmean(a):
+    if _untaped(a):
+        return _tmean_arr(a)
     a = _coerce(a)
     n = a.data.size
-    out = np.array(a.data.mean())
-    return _attach(out, [(a, lambda g: np.full(a.data.shape, float(g) / n))])
+    return _attach(_tmean_arr(a.data), [(a, lambda g: np.full(a.data.shape, float(g) / n))])
+
+
+def _reshape_arr(x, shape):
+    if int(np.prod(shape)) != x.size:
+        raise DimensionError(f"reshape: cannot view shape {x.shape} as {tuple(shape)}")
+    return x.reshape(shape).copy()
 
 
 def reshape(a, shape):
+    if _untaped(a):
+        return _reshape_arr(a, shape)
     a = _coerce(a)
-    if int(np.prod(shape)) != a.data.size:
-        raise DimensionError(f"reshape: cannot view shape {a.data.shape} as {tuple(shape)}")
-    out = a.data.reshape(shape).copy()
-    return _attach(out, [(a, lambda g: g.reshape(a.data.shape))])
+    return _attach(_reshape_arr(a.data, shape), [(a, lambda g: g.reshape(a.data.shape))])
+
+
+def _concat_arr(arrays, axis):
+    if not arrays:
+        raise DimensionError("concat of an empty sequence")
+    try:
+        return np.concatenate(arrays, axis=axis)
+    except ValueError as exc:
+        raise DimensionError(
+            f"concat along axis {axis}: shapes {[x.shape for x in arrays]}"
+        ) from exc
 
 
 def concat(tensors, axis):
+    if _untaped(*tensors):
+        return _concat_arr(tensors, axis)
     tensors = [_coerce(t) for t in tensors]
-    if not tensors:
-        raise DimensionError("concat of an empty sequence")
-    try:
-        out = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError as exc:
-        raise DimensionError(
-            f"concat along axis {axis}: shapes {[t.data.shape for t in tensors]}"
-        ) from exc
+    out = _concat_arr([t.data for t in tensors], axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -442,14 +524,20 @@ def concat(tensors, axis):
     return _attach(out, pairs)
 
 
+def _cols_arr(x, start, stop):
+    if x.ndim != 2:
+        raise DimensionError(f"cols needs a 2-d tensor, got shape {x.shape}")
+    if not (0 <= start < stop <= x.shape[1]):
+        raise DimensionError(f"cols [{start}:{stop}] out of range for shape {x.shape}")
+    return x[:, start:stop].copy()
+
+
 def cols(a, start, stop):
     """Column slice of a 2-d tensor."""
+    if _untaped(a):
+        return _cols_arr(a, start, stop)
     a = _coerce(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"cols needs a 2-d tensor, got shape {a.data.shape}")
-    if not (0 <= start < stop <= a.data.shape[1]):
-        raise DimensionError(f"cols [{start}:{stop}] out of range for shape {a.data.shape}")
-    out = a.data[:, start:stop].copy()
+    out = _cols_arr(a.data, start, stop)
 
     def pull(g):
         full = np.zeros(a.data.shape)
@@ -459,14 +547,18 @@ def cols(a, start, stop):
     return _attach(out, [(a, pull)])
 
 
+def _scale_rows_arr(x, s):
+    if x.ndim != 2 or s.ndim != 1 or s.shape[0] != x.shape[0]:
+        raise DimensionError(f"scale_rows: shapes {x.shape} and {s.shape} are incompatible")
+    return x * s[:, None]
+
+
 def scale_rows(a, s):
     """Multiply row i of a 2-d tensor by s[i]."""
+    if _untaped(a, s):
+        return _scale_rows_arr(a, s)
     a, s = _coerce(a), _coerce(s)
-    if a.data.ndim != 2 or s.data.ndim != 1 or s.data.shape[0] != a.data.shape[0]:
-        raise DimensionError(
-            f"scale_rows: shapes {a.data.shape} and {s.data.shape} are incompatible"
-        )
-    out = a.data * s.data[:, None]
+    out = _scale_rows_arr(a.data, s.data)
     return _attach(
         out,
         [
@@ -476,15 +568,38 @@ def scale_rows(a, s):
     )
 
 
+def _add_rowvec_arr(x, b):
+    if x.ndim != 2 or b.ndim != 1 or b.shape[0] != x.shape[1]:
+        raise DimensionError(f"add_rowvec: shapes {x.shape} and {b.shape} are incompatible")
+    return x + b[None, :]
+
+
 def add_rowvec(a, b):
     """Add a length-n vector to every row of an (m, n) tensor."""
+    if _untaped(a, b):
+        return _add_rowvec_arr(a, b)
     a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != 2 or b.data.ndim != 1 or b.data.shape[0] != a.data.shape[1]:
-        raise DimensionError(
-            f"add_rowvec: shapes {a.data.shape} and {b.data.shape} are incompatible"
-        )
-    out = a.data + b.data[None, :]
+    out = _add_rowvec_arr(a.data, b.data)
     return _attach(out, [(a, lambda g: g), (b, lambda g: g.sum(axis=0))])
+
+
+def _dense_arr(x, w, b, act):
+    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
+        raise DimensionError(
+            f"dense needs 2-d x and w and a 1-d b, got shapes "
+            f"{x.shape}, {w.shape} and {b.shape}"
+        )
+    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise DimensionError(f"dense: shapes {x.shape}, {w.shape} and {b.shape} do not chain")
+    y = x @ w
+    y += b
+    if act == "relu":
+        return _relu_arr(y)
+    if act == "tanh":
+        return np.tanh(y)
+    if act is not None:
+        raise ConfigError(f"dense: unknown activation {act!r}")
+    return y
 
 
 def dense(x, w, b, act=None):
@@ -495,32 +610,18 @@ def dense(x, w, b, act=None):
     are bit-equal to it.  The activation pull is taken once per sweep
     and shared by the parents' pulls.
     """
+    if _untaped(x, w, b):
+        return _dense_arr(x, w, b, act)
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise DimensionError(
-            f"dense needs 2-d x and w and a 1-d b, got shapes "
-            f"{x.data.shape}, {w.data.shape} and {b.data.shape}"
-        )
-    if x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"dense: shapes {x.data.shape}, {w.data.shape} and {b.data.shape} do not chain"
-        )
-    y = x.data @ w.data
-    y += b.data
-    if act == "relu":
-        mask = y > 0
-        y = np.where(mask, y, 0.0)
-    elif act == "tanh":
-        y = np.tanh(y)
-    elif act is not None:
-        raise ConfigError(f"dense: unknown activation {act!r}")
+    y = _dense_arr(x.data, w.data, b.data, act)
     memo = []  # [g, activation pull of g] while the sweep runs this node's pulls
 
     def pre(g):
         if act is None:
             return g
         if not memo or memo[0] is not g:
-            memo[:] = [g, g * mask if act == "relu" else g * (1.0 - y * y)]
+            # a relu output is positive exactly where its input was
+            memo[:] = [g, g * (y > 0) if act == "relu" else g * (1.0 - y * y)]
         return memo[1]
 
     pairs = [(p, pull) for p, pull in (
@@ -540,6 +641,19 @@ def dense(x, w, b, act=None):
     return _attach(y, pairs)
 
 
+def _depatchify_arr(x, grid_h, grid_w, patch):
+    if x.shape != (grid_h * grid_w, patch * patch):
+        raise DimensionError(
+            f"depatchify: shape {x.shape} does not match grid "
+            f"({grid_h}x{grid_w}) of {patch}x{patch} patches"
+        )
+    return (
+        x.reshape(grid_h, grid_w, patch, patch)
+        .transpose(0, 2, 1, 3)
+        .reshape(grid_h * patch, grid_w * patch)
+    ).copy()
+
+
 def depatchify(a, grid_h, grid_w, patch):
     """Reassemble (grid_h*grid_w, patch*patch) token logits into an image.
 
@@ -547,17 +661,10 @@ def depatchify(a, grid_h, grid_w, patch):
     rows [ty*patch, (ty+1)*patch) and columns [tx*patch, (tx+1)*patch);
     its vector is that block in row-major order.
     """
+    if _untaped(a):
+        return _depatchify_arr(a, grid_h, grid_w, patch)
     a = _coerce(a)
-    if a.data.shape != (grid_h * grid_w, patch * patch):
-        raise DimensionError(
-            f"depatchify: shape {a.data.shape} does not match grid "
-            f"({grid_h}x{grid_w}) of {patch}x{patch} patches"
-        )
-    out = (
-        a.data.reshape(grid_h, grid_w, patch, patch)
-        .transpose(0, 2, 1, 3)
-        .reshape(grid_h * patch, grid_w * patch)
-    ).copy()
+    out = _depatchify_arr(a.data, grid_h, grid_w, patch)
 
     def pull(g):
         return (
@@ -589,7 +696,7 @@ class AttentionParams:
 
     __slots__ = ("wq", "wk", "wv", "wo")
 
-    def __init__(self, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor):
+    def __init__(self, wq, wk, wv, wo):
         self.wq, self.wk, self.wv, self.wo = wq, wk, wv, wo
 
     @classmethod
@@ -602,22 +709,37 @@ class AttentionParams:
         return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)]
 
 
-def _attention_weights(qp: Tensor, kp: Tensor, heads: int) -> Tensor:
+def _head_blocks(width: int, heads: int) -> list[slice]:
+    dh = width // heads
+    return [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+
+
+def _attention_weights_arr(qp, kp, heads):
     """Per-head softmax((q_h @ k_h^T) * scale) stacked to (heads, L_q, L_k).
 
-    Head h owns columns [h*dh, (h+1)*dh) of the projections.  The pullback
-    takes the softmax pull, then the scale, then each head's two matmul
-    pulls into that head's column block of qp and kp; both parents share
-    the one computation.
+    Head h owns columns [h*dh, (h+1)*dh) of the projections.  Returns
+    the weights and the scale, head blocks, and per-head query and
+    transposed key copies they were computed from.
     """
-    dh = qp.data.shape[1] // heads
-    scale = 1.0 / math.sqrt(dh)
-    blocks = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
-    qhs = [qp.data[:, b].copy() for b in blocks]
-    khts = [kp.data[:, b].T.copy() for b in blocks]
+    blocks = _head_blocks(qp.shape[1], heads)
+    scale = 1.0 / math.sqrt(qp.shape[1] // heads)
+    qhs = [qp[:, b].copy() for b in blocks]
+    khts = [kp[:, b].T.copy() for b in blocks]
     z = np.stack([qh @ kht for qh, kht in zip(qhs, khts)]) * scale
     e = np.exp(z - z.max(axis=2, keepdims=True))
-    y = e / e.sum(axis=2, keepdims=True)
+    return e / e.sum(axis=2, keepdims=True), scale, blocks, qhs, khts
+
+
+def _attention_weights(qp, kp, heads: int):
+    """The attention weights node.
+
+    The pullback takes the softmax pull, then the scale, then each head's
+    two matmul pulls into that head's column block of qp and kp; both
+    parents share the one computation.
+    """
+    if _untaped(qp, kp):
+        return _attention_weights_arr(qp, kp, heads)[0]
+    y, scale, blocks, qhs, khts = _attention_weights_arr(qp.data, kp.data, heads)
     memo = []  # [g, (gq, gk)] while the sweep runs this node's two pulls
 
     def pulls(g):
@@ -639,13 +761,21 @@ def _attention_weights(qp: Tensor, kp: Tensor, heads: int) -> Tensor:
     return _attach(y, [(qp, lambda g: pulls(g)[0]), (kp, pull_k)])
 
 
-def _attention_mix(weights: Tensor, vp: Tensor, heads: int) -> Tensor:
-    """Head h's weights times its column block of vp, heads side by side."""
-    dh = vp.data.shape[1] // heads
-    blocks = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+def _attention_mix_arr(weights, vp, heads):
+    """Head h's weights times its column block of vp, heads side by side.
+
+    Returns the mix and the head blocks and per-head value copies it read.
+    """
+    blocks = _head_blocks(vp.shape[1], heads)
+    vhs = [vp[:, b].copy() for b in blocks]
+    return np.concatenate([weights[h] @ vh for h, vh in enumerate(vhs)], axis=1), blocks, vhs
+
+
+def _attention_mix(weights, vp, heads: int):
+    if _untaped(weights, vp):
+        return _attention_mix_arr(weights, vp, heads)[0]
+    out, blocks, vhs = _attention_mix_arr(weights.data, vp.data, heads)
     y = weights.data
-    vhs = [vp.data[:, b].copy() for b in blocks]
-    out = np.concatenate([y[h] @ vh for h, vh in enumerate(vhs)], axis=1)
 
     def pull_v(g):
         gv = np.zeros(vp.data.shape)
@@ -670,6 +800,7 @@ def multihead_cross_attention(q, k, v, params: AttentionParams, heads: int):
     keys, and values are projected, split into column blocks per head,
     mixed by scaled dot-product attention, concatenated, and projected
     by the output matrix (the head layout of Vaswani et al. 2017).
+    Given plain arrays and array weights, both results are plain arrays.
 
     Between the four projection matmuls the tape holds two nodes:
     ``attn`` from the projected queries and keys, and the concatenated
@@ -681,18 +812,14 @@ def multihead_cross_attention(q, k, v, params: AttentionParams, heads: int):
     because a prototype bank passed as both keys and values sums its two
     gradient pieces in that order.
     """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
+    qs, ks, vs = (np.shape(array_of(x)) for x in (q, k, v))
+    if len(qs) != 2 or len(ks) != 2 or len(vs) != 2:
         raise DimensionError("attention operands must be 2-d token matrices")
-    dim = q.data.shape[1]
-    if k.data.shape[1] != dim or v.data.shape[1] != dim:
-        raise DimensionError(
-            f"attention: channel mismatch {q.data.shape} / {k.data.shape} / {v.data.shape}"
-        )
-    if k.data.shape[0] != v.data.shape[0]:
-        raise DimensionError(
-            f"attention: key/value length mismatch {k.data.shape} vs {v.data.shape}"
-        )
+    dim = qs[1]
+    if ks[1] != dim or vs[1] != dim:
+        raise DimensionError(f"attention: channel mismatch {qs} / {ks} / {vs}")
+    if ks[0] != vs[0]:
+        raise DimensionError(f"attention: key/value length mismatch {ks} vs {vs}")
     if heads < 1 or dim % heads:
         raise ConfigError(f"head count {heads} does not divide channel width {dim}")
 

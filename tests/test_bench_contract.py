@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import grasp
+import grasp.evalkit
 import grasp.training
 from grasp.model import GraspConfig, GraspModel
 from grasp.synthdata import SceneConfig, generate_scene
@@ -79,6 +80,30 @@ def test_one_traced_forward_opens_each_stage_span_once():
                       "model.decode": 2}
     forward = names.index("model.forward")
     assert all(tracer.spans[i][tracing.ROOT] == forward for i in range(len(names)))
+
+
+def test_traced_evaluate_opens_each_stage_span_once_per_instance():
+    # inference runs untaped; the tracer must still see every stage of it
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    model = GraspModel(SMALL, seed=0)
+    insts = [inst for seed in range(2)
+             for inst in generate_scene(seed, SceneConfig(size=16, min_objects=2, max_objects=2))]
+    try:
+        tracing.install(tracer)
+        grasp.evalkit.evaluate(model, insts, "oracle")
+    finally:
+        tracer.restore()
+    names = [span[tracing.NAME] for span in tracer.spans]
+    n = len(insts)
+    stages = {name: names.count(name) for name in (
+        "model.forward", "model.encode", "model.vm_encode_fuse", "model.spm", "geometry.sdf",
+        "model.gate_inject", "model.decode")}
+    # gate and inject share one span name, as do the decoder's two halves
+    assert stages == {"model.forward": n, "model.encode": n, "model.vm_encode_fuse": n,
+                      "model.spm": n, "geometry.sdf": n, "model.gate_inject": 2 * n,
+                      "model.decode": 2 * n}
+    assert names.count("tensor.attention") == 2 * n
 
 
 def test_train_calls_module_cosine_lr_once_per_step(monkeypatch):

@@ -26,8 +26,10 @@ from grasp.evalkit import (
 )
 from grasp.geometry import BinaryMask, iou, mask_diff
 from grasp.model import GraspConfig, GraspModel
+from grasp.probe import probe_report
 from grasp.seeding import derive_seed
 from grasp.synthdata import SceneConfig, generate_scene, make_instance, perturb_vm
+from grasp.tensor import Tensor
 
 SMALL = GraspConfig(image_size=16, patch=8, dim=8, heads=2, n_prototypes=4,
                     vm_hidden=4, decoder_hidden=8)
@@ -152,8 +154,8 @@ def test_threshold_is_a_logit_cut():
     for th in (0.3, 0.5, 0.7):
         amodal, occluded, trace = predict(model, inst.image, inst.visible, threshold=th)
         cut = math.log(th / (1.0 - th))
-        assert np.array_equal(amodal.a, trace.logits_amodal.data > cut)
-        assert np.array_equal(occluded.a, trace.logits_occ.data > cut)
+        assert np.array_equal(amodal.a, trace.logits_amodal > cut)
+        assert np.array_equal(occluded.a, trace.logits_occ > cut)
 
 
 @pytest.mark.parametrize("th", [0.0, 1.0, -0.2, 1.5])
@@ -403,6 +405,37 @@ def _jittered(**options):
     for _, _, t in model.params.named_trainable():
         t.data[...] += 0.3 * rng.standard_normal(t.data.shape)
     return model
+
+
+@pytest.mark.parametrize("options", [{}, {"gate_override": 0.5}, {"sdf_query_mod": True}])
+def test_inference_builds_no_tensors(options, monkeypatch):
+    model = _jittered(**options)
+    insts = [inst for seed in range(3) for inst in _scene16(seed)]
+    inst = insts[0]
+    made = []
+    init = Tensor._init
+
+    def counted(self, *args):
+        made.append(self)
+        return init(self, *args)
+
+    monkeypatch.setattr(Tensor, "_init", counted)
+    model.forward(inst.image, inst.visible)
+    assert made, "the counter must see the taped forward"
+    for name, run in (
+        ("predict", lambda: predict(model, inst.image, inst.visible)),
+        ("two_pass", lambda: two_pass(model, inst.image, inst.visible)),
+        ("evaluate", lambda: evaluate(model, insts, "standard")),
+        ("evaluate two-pass", lambda: evaluate(model, insts, "oracle", use_two_pass=True)),
+        ("ablate", lambda: ablate(model, insts, "standard")),
+        ("gate_stats", lambda: gate_stats(model, insts)),
+        ("attention_stats", lambda: attention_stats(model, insts)),
+        ("mechanism_stats", lambda: mechanism_stats(model, insts)),
+        ("probe_report", lambda: probe_report(model, insts)),
+    ):
+        made.clear()
+        run()
+        assert not made, f"{name} built {len(made)} tensors"
 
 
 @pytest.mark.parametrize("options", [{}, {"gate_override": 0.5}, {"sdf_query_mod": True}])

@@ -3,11 +3,13 @@ parameter accounting, checkpoints, and a whole-model gradient check."""
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
 from conftest import FD_EPS
+import grasp.model
 from grasp.errors import ConfigError, DimensionError, IntegrityError
 from grasp.geometry import BinaryMask
 from grasp.model import (
@@ -291,6 +293,51 @@ def test_forward_is_regate_of_prefix_of_encode(query_mod):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (override, f.name)
 
 
+def _assert_same_trace(taped, bare, what):
+    for f in dataclasses.fields(taped):
+        a, b = getattr(taped, f.name), getattr(bare, f.name)
+        assert not isinstance(b, Tensor), (what, f.name)
+        if a is None:
+            assert b is None, (what, f.name)
+            continue
+        a = a.data if isinstance(a, Tensor) else a
+        assert a.dtype == b.dtype and a.shape == b.shape, (what, f.name)
+        assert a.tobytes() == b.tobytes(), (what, f.name)
+
+
+@pytest.mark.parametrize("cfg", [GraspConfig(), GraspConfig(heads=8, sdf_query_mod=True)],
+                         ids=["default", "sdf_query_mod_8_heads"])
+def test_untaped_traces_equal_taped_traces_bit_for_bit(cfg):
+    m = GraspModel(cfg, seed=5)
+    rng = np.random.default_rng(5)
+    for _, _, t in m.params.named_trainable():  # no stage stays an identity
+        t.data[...] += 0.3 * rng.standard_normal(t.data.shape)
+    bare = m.untaped()
+    inst = generate_scene(6)[0]
+    v_input = perturb_vm(inst.visible, 3)
+    taped_prefix = m.prefix(m.encode(inst.image), v_input)
+    bare_prefix = bare.prefix(bare.encode(inst.image), v_input)
+    _assert_same_trace(taped_prefix, bare_prefix, "prefix")
+    for override in (None, 0.0, 0.5, 1.0):
+        _assert_same_trace(m.forward(inst.image, v_input, override),
+                           bare.forward(inst.image, v_input, override), ("forward", override))
+        _assert_same_trace(m.regate(taped_prefix, override), bare.regate(bare_prefix, override),
+                           ("regate", override))
+
+
+def test_untaped_model_shares_the_parameter_arrays():
+    m = GraspModel(SMALL, seed=0)
+    bare = m.untaped()
+    assert bare.config is m.config and bare.params.seed == m.params.seed
+    pairs = list(zip(m.params.named_all(), bare.params.named_all()))
+    assert len(pairs) == len(list(m.params.named_all()))
+    for (g, n, t), (bg, bn, arr) in pairs:
+        assert (g, n) == (bg, bn) and arr is t.data
+    again = bare.untaped()
+    assert all(a is b for (_, _, a), (_, _, b) in zip(bare.params.named_all(),
+                                                      again.params.named_all()))
+
+
 def test_residual_is_prior_minus_fused():
     m = GraspModel(SMALL, seed=2)
     inst = _small_scene()
@@ -456,6 +503,41 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     x = m.forward(inst.image, inst.visible)
     y = loaded.forward(inst.image, inst.visible)
     assert np.array_equal(x.logits_amodal.data, y.logits_amodal.data)
+
+
+class _FailingFile:
+    """A binary file whose third write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, GraspModel(SMALL, seed=0))
+    before = p.read_bytes()
+    monkeypatch.setattr(grasp.model, "open", lambda *a, **k: _FailingFile(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(p, GraspModel(SMALL, seed=1), step=3)
+    assert p.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["m.ckpt"]
+    monkeypatch.delattr(grasp.model, "open")
+    save_checkpoint(p, GraspModel(SMALL, seed=1), step=3)
+    assert load_checkpoint(p)[1] == 3
+    assert sorted(os.listdir(tmp_path)) == ["m.ckpt"]
 
 
 def _mangle(path, out, fix):

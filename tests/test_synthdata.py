@@ -11,6 +11,10 @@ from grasp.synthdata import (
     OCC_BINS,
     SHAPE_CLASSES,
     SceneConfig,
+    _dilate,
+    _disc_offsets,
+    _erode,
+    _translate,
     generate_dataset,
     generate_scene,
     make_instance,
@@ -226,6 +230,35 @@ def test_perturb_pure_erosion_draw():
     want = np.zeros((9, 9), dtype=bool)
     want[4, 4] = True
     assert np.array_equal(out.a, want)
+
+
+def _morph_per_offset(arr, radius, dilate):
+    """The reference morphology: one zero-filled translated copy per disc offset."""
+    out = np.zeros_like(arr) if dilate else np.ones_like(arr)
+    for dy, dx in _disc_offsets(radius):
+        if dilate:
+            out |= _translate(arr, dy, dx)
+        else:
+            out &= _translate(arr, dy, dx)
+    return out
+
+
+def test_morphology_equals_the_per_offset_reference():
+    rng = np.random.default_rng(7)
+    masks = [inst.visible.a for inst in generate_dataset(24, 3)]
+    masks += [rng.random((13, 17)) < p for p in (0.1, 0.5, 0.9)]
+    full = np.ones((10, 12), dtype=bool)
+    edges = np.zeros((10, 12), dtype=bool)
+    edges[0, :] = edges[:, -1] = edges[4, 0] = True  # on the border, and a lone border pixel
+    corner = np.zeros((10, 12), dtype=bool)
+    corner[-3:, -3:] = True
+    masks += [full, edges, corner, np.zeros((5, 5), dtype=bool), np.ones((4, 6), dtype=bool)]
+    for i, arr in enumerate(masks):
+        for radius in (1, 2, 3):
+            got_d, got_e = _dilate(arr, radius), _erode(arr, radius)
+            assert got_d.dtype == got_e.dtype == arr.dtype
+            assert np.array_equal(got_d, _morph_per_offset(arr, radius, True)), (i, radius)
+            assert np.array_equal(got_e, _morph_per_offset(arr, radius, False)), (i, radius)
 
 
 def test_perturb_severity_band():
