@@ -10,6 +10,7 @@ version.  Exit codes: 0 success, 1 I/O or data-integrity failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -216,7 +217,9 @@ def cmd_sdf(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="grasp",
         description="Desk-scale amodal segmentation with gated shape-prototype injection.",

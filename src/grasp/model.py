@@ -33,7 +33,10 @@ or the prototype mixture) so ablations are exact.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, replace
@@ -139,86 +142,98 @@ class ForwardTrace:
     logits_amodal: Optional[Tensor] = None  # (H, W)
 
 
-def _linear(rng, n_in, n_out, scale=None):
-    scale = scale if scale is not None else 1.0 / np.sqrt(n_in)
-    w = Tensor(rng.normal(0.0, scale, (n_in, n_out)), requires_grad=True)
-    b = Tensor(np.zeros(n_out), requires_grad=True)
-    return w, b
+@dataclass(frozen=True)
+class ParamRow:
+    """One parameter of the layout: where it lives and how a fresh model fills it."""
+
+    group: str
+    name: str
+    shape: tuple[int, ...]
+    trainable: bool
+    tag: Optional[str] = None  # the rng stream it is drawn from; None means zeros
+    scale: float = 0.0  # the normal draw's standard deviation
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+
+@functools.lru_cache(maxsize=32)
+def param_layout(config: GraspConfig) -> tuple[ParamRow, ...]:
+    """Every parameter of a model, in ``named_all`` order.
+
+    That order is the flat buffer's and a checkpoint body's.  A fresh
+    model draws the rows of one tag from one generator, in row order.
+    """
+    pd, dim, hid = config.patch_dim, config.dim, config.decoder_hidden
+    rows = []
+    for i in range(N_FROZEN_BLOCKS):
+        rows += [ParamRow("frozen_encoder", f"block{i}_w", (pd, pd), False, "frozen-encoder",
+                          1.0 / np.sqrt(pd)),
+                 ParamRow("frozen_encoder", f"block{i}_b", (pd,), False, "frozen-encoder", 0.1)]
+
+    def linear(group, w, b, n_in, n_out, tag):
+        rows.append(ParamRow(group, w, (n_in, n_out), True, tag, 1.0 / np.sqrt(n_in)))
+        rows.append(ParamRow(group, b, (n_out,), True))
+
+    def attention(group, tag):
+        rows.extend(ParamRow(group, name, (dim, dim), True, tag, 1.0 / np.sqrt(dim))
+                    for name in ("wq", "wk", "wv", "wo"))
+
+    linear("projection", "w", "b", N_FROZEN_BLOCKS * pd, dim, "projection")
+    linear("vm_encoder", "w1", "b1", 3, config.vm_hidden, "vm-encoder")
+    linear("vm_encoder", "w2", "b2", config.vm_hidden, dim, "vm-encoder")
+    attention("vm_attention", "vm-attention")
+    rows.append(ParamRow("vm_attention", "gamma", (), True))
+    rows.append(ParamRow("prototypes", "bank", (config.n_prototypes, dim), True, "prototypes",
+                         1.0))
+    attention("spm_attention", "spm-attention")
+    rows += [ParamRow("gate", "alpha", (), True), ParamRow("gate", "beta", (), True),
+             ParamRow("sdf_query", "direction", (dim,), True)]
+    for w, b, n_in, n_out in (("trunk_w1", "trunk_b1", dim, hid),
+                              ("trunk_w2", "trunk_b2", hid, hid),
+                              ("occ_w", "occ_b", hid, hid),
+                              ("amodal_w", "amodal_b", hid, hid),
+                              ("fuse_w", "fuse_b", 2 * hid, hid),
+                              ("head_occ_w", "head_occ_b", hid, pd),
+                              ("head_amodal_w", "head_amodal_b", hid, pd)):
+        linear("decoder", w, b, n_in, n_out, "decoder")
+    return tuple(rows)
 
 
 class GraspParams:
-    """All parameter groups, keyed for reporting and serialization."""
+    """All parameter groups, keyed for reporting and serialization.
 
-    def __init__(self, config: GraspConfig, seed: int):
+    Every parameter's values live in one float64 buffer, laid out by
+    ``param_layout``: the frozen blocks first, then the trainables.
+    Each ``Tensor.data`` is a view into it, and the frozen views are
+    read-only.  ``values`` is such a buffer already filled, as read
+    from a checkpoint; without it every row is drawn from its
+    initializer.
+    """
+
+    def __init__(self, config: GraspConfig, seed: int, values: np.ndarray | None = None):
         self.seed = int(seed)
-        pd, dim = config.patch_dim, config.dim
-
-        frozen_rng = np.random.default_rng(derive_seed(seed, "frozen-encoder"))
-        self.frozen = {}
-        for i in range(N_FROZEN_BLOCKS):
-            w = frozen_rng.normal(0.0, 1.0 / np.sqrt(pd), (pd, pd))
-            b = frozen_rng.normal(0.0, 0.1, pd)
-            self.frozen[f"block{i}_w"] = Tensor(w)
-            self.frozen[f"block{i}_b"] = Tensor(b)
-
-        def rng(tag):
-            return np.random.default_rng(derive_seed(seed, tag))
-
-        r = rng("projection")
-        pw, pb = _linear(r, N_FROZEN_BLOCKS * pd, dim)
-        projection = {"w": pw, "b": pb}
-
-        r = rng("vm-encoder")
-        w1, b1 = _linear(r, 3, config.vm_hidden)
-        w2, b2 = _linear(r, config.vm_hidden, dim)
-        vm_encoder = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
-
-        vm_attention = dict(AttentionParams.init(dim, rng("vm-attention")).tensors())
-        vm_attention["gamma"] = Tensor(np.zeros(()), requires_grad=True)
-
-        prototypes = {
-            "bank": Tensor(rng("prototypes").normal(0.0, 1.0, (config.n_prototypes, dim)),
-                           requires_grad=True)
-        }
-
-        spm_attention = dict(AttentionParams.init(dim, rng("spm-attention")).tensors())
-
-        gate = {
-            "alpha": Tensor(np.zeros(()), requires_grad=True),
-            "beta": Tensor(np.zeros(()), requires_grad=True),
-        }
-
-        sdf_query = {"direction": Tensor(np.zeros(dim), requires_grad=True)}
-
-        r = rng("decoder")
-        hid = config.decoder_hidden
-        tw1, tb1 = _linear(r, dim, hid)
-        tw2, tb2 = _linear(r, hid, hid)
-        ow, ob = _linear(r, hid, hid)
-        aw, ab = _linear(r, hid, hid)
-        fw, fb = _linear(r, 2 * hid, hid)
-        how, hob = _linear(r, hid, config.patch_dim)
-        haw, hab = _linear(r, hid, config.patch_dim)
-        decoder = {
-            "trunk_w1": tw1, "trunk_b1": tb1,
-            "trunk_w2": tw2, "trunk_b2": tb2,
-            "occ_w": ow, "occ_b": ob,
-            "amodal_w": aw, "amodal_b": ab,
-            "fuse_w": fw, "fuse_b": fb,
-            "head_occ_w": how, "head_occ_b": hob,
-            "head_amodal_w": haw, "head_amodal_b": hab,
-        }
-
-        self.groups: dict[str, dict[str, Tensor]] = {
-            "projection": projection,
-            "vm_encoder": vm_encoder,
-            "vm_attention": vm_attention,
-            "prototypes": prototypes,
-            "spm_attention": spm_attention,
-            "gate": gate,
-            "sdf_query": sdf_query,
-            "decoder": decoder,
-        }
+        layout = param_layout(config)
+        ends = list(itertools.accumulate(row.size for row in layout))
+        if values is None:
+            values = np.zeros(ends[-1])
+            rngs = {}
+            for row, end in zip(layout, ends):
+                if row.tag is not None:
+                    if row.tag not in rngs:
+                        rngs[row.tag] = np.random.default_rng(derive_seed(seed, row.tag))
+                    values[end - row.size:end] = rngs[row.tag].normal(0.0, row.scale,
+                                                                      row.size)
+        self.values = values
+        self.frozen: dict[str, Tensor] = {}
+        self.groups: dict[str, dict[str, Tensor]] = {}
+        for row, end in zip(layout, ends):
+            t = Tensor._wrap(values[end - row.size:end].reshape(row.shape), row.trainable, None)
+            if row.trainable:
+                self.groups.setdefault(row.group, {})[row.name] = t
+            else:
+                self.frozen[row.name] = t
 
     def named_trainable(self):
         for group, tensors in self.groups.items():
@@ -237,6 +252,7 @@ class GraspParams:
         """The same parameters as their own arrays, in the same groups; nothing is copied."""
         view = object.__new__(GraspParams)
         view.seed = self.seed
+        view.values = self.values
         view.frozen = {name: T.array_of(t) for name, t in self.frozen.items()}
         view.groups = {group: {name: T.array_of(t) for name, t in tensors.items()}
                        for group, tensors in self.groups.items()}
@@ -430,15 +446,13 @@ class GraspModel:
 
 
 def save_checkpoint(path, model: GraspModel, step: int = 0, extra: dict | None = None) -> None:
-    """JSON header line, then raw little-endian float64 blocks in header order."""
-    entries = []
-    blobs = []
-    for group, name, t in model.params.named_all():
-        blob = t.data.astype("<f8").tobytes()
-        entries.append(
-            {"group": group, "name": name, "shape": list(t.data.shape), "bytes": len(blob)}
-        )
-        blobs.append(blob)
+    """JSON header line, then the parameter buffer as raw little-endian float64.
+
+    The header lists each parameter's group, name, shape and byte count
+    in ``named_all`` order, which is the body's order.
+    """
+    entries = [{"group": g, "name": n, "shape": list(t.data.shape), "bytes": t.data.size * 8}
+               for g, n, t in model.params.named_all()]
     header = {
         "format": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
@@ -456,8 +470,7 @@ def save_checkpoint(path, model: GraspModel, step: int = 0, extra: dict | None =
         with open(tmp, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
             fh.write(b"\n")
-            for blob in blobs:
-                fh.write(blob)
+            fh.write(model.params.values.astype("<f8", copy=False))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -469,51 +482,52 @@ _ENTRY_FIELDS = {"group": str, "name": str, "shape": list, "bytes": int}
 
 
 def load_checkpoint(path) -> tuple[GraspModel, int]:
+    """Read a checkpoint whose entries match the model's layout, in its order.
+
+    The body is read in one block straight into the new model's
+    parameter buffer; nothing is drawn at random.
+    """
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        body = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"{path}: malformed checkpoint header") from exc
-    if not isinstance(header, dict):
-        raise IntegrityError(f"{path}: checkpoint header is not a JSON object")
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise IntegrityError(f"{path}: unknown checkpoint format {header.get('format')!r}")
-    check_fields(header, _HEADER_FIELDS, f"{path}: checkpoint header", IntegrityError)
-    config = GraspConfig.from_dict(header["config"])
-    model = GraspModel(config, seed=header["seed"])
-    lookup = {(g, n): t for g, n, t in model.params.named_all()}
-    seen = set()
-    offset = 0
-    what = f"{path}: parameter entry"
-    for entry in header["params"]:
-        check_fields(entry, _ENTRY_FIELDS, what, IntegrityError)
-        key = (entry["group"], entry["name"])
-        if key not in lookup:
-            raise IntegrityError(f"{path}: unexpected parameter {key}")
-        t = lookup[key]
-        if tuple(entry["shape"]) != t.data.shape:
-            raise IntegrityError(
-                f"{path}: shape {entry['shape']} for {key} != model {t.data.shape}"
-            )
-        if entry["bytes"] != t.data.size * 8:
-            raise IntegrityError(f"{path}: block size {entry['bytes']} wrong for {key}")
-        if offset + entry["bytes"] > len(body):
-            raise IntegrityError(f"{path}: truncated block for {key}")
-        arr = np.frombuffer(body, dtype="<f8", count=t.data.size, offset=offset)
-        writeable = t.data.flags.writeable
-        t.data.flags.writeable = True
-        t.data[...] = arr.reshape(t.data.shape)
-        t.data.flags.writeable = writeable
-        offset += entry["bytes"]
-        seen.add(key)
-    missing = set(lookup) - seen
-    if missing:
-        raise IntegrityError(f"{path}: checkpoint missing parameters {sorted(missing)}")
-    if offset != len(body):
-        raise IntegrityError(f"{path}: trailing bytes after the last parameter block")
-    # one check over every block: a NaN or infinite parameter is corrupt data
-    if not np.isfinite(np.frombuffer(body, dtype="<f8")).all():
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise IntegrityError(f"{path}: malformed checkpoint header") from exc
+        if not isinstance(header, dict):
+            raise IntegrityError(f"{path}: checkpoint header is not a JSON object")
+        if header.get("format") != CHECKPOINT_FORMAT:
+            raise IntegrityError(f"{path}: unknown checkpoint format {header.get('format')!r}")
+        check_fields(header, _HEADER_FIELDS, f"{path}: checkpoint header", IntegrityError)
+        config = GraspConfig.from_dict(header["config"])
+        layout = param_layout(config)
+        rows = {(row.group, row.name): row for row in layout}
+        keys = []
+        for entry in header["params"]:
+            check_fields(entry, _ENTRY_FIELDS, f"{path}: parameter entry", IntegrityError)
+            key = (entry["group"], entry["name"])
+            if key not in rows:
+                raise IntegrityError(f"{path}: unexpected parameter {key}")
+            keys.append(key)
+        missing = set(rows) - set(keys)
+        if missing:
+            raise IntegrityError(f"{path}: checkpoint missing parameters {sorted(missing)}")
+        if keys != list(rows):
+            raise IntegrityError(f"{path}: parameter entries are not in the model's order")
+        for entry, row in zip(header["params"], layout):
+            key = (row.group, row.name)
+            if tuple(entry["shape"]) != row.shape:
+                raise IntegrityError(
+                    f"{path}: shape {entry['shape']} for {key} != model {row.shape}"
+                )
+            if entry["bytes"] != row.size * 8:
+                raise IntegrityError(f"{path}: block size {entry['bytes']} wrong for {key}")
+        values = np.empty(sum(row.size for row in layout), dtype="<f8")
+        if fh.readinto(values) != values.nbytes:
+            raise IntegrityError(f"{path}: truncated parameter body")
+        if fh.read(1):
+            raise IntegrityError(f"{path}: trailing bytes after the last parameter block")
+    values = values.astype(np.float64, copy=False)  # a no-op on a little-endian host
+    # one check over the whole buffer: a NaN or infinite parameter is corrupt data
+    if not np.isfinite(values).all():
         raise IntegrityError(f"{path}: non-finite parameter value")
-    return model, header["step"]
+    params = GraspParams(config, header["seed"], values)
+    return GraspModel(config, params=params), header["step"]

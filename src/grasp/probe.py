@@ -127,11 +127,14 @@ def split_instances(n_instances: int, seed: int, test_frac: float = 0.2):
     return np.sort(order[n_test:]), np.sort(order[:n_test])
 
 
-def _fit(position, x, y, ids, n_instances, lam, seed, test_frac):
-    """Fit one position's probe on the instance split; returns (ProbeResult, true, pred)."""
+def _split_masks(ids, n_instances, seed, test_frac):
+    """Per-token (in_train, in_test) masks of the instance split."""
     train_ids, test_ids = split_instances(n_instances, seed, test_frac)
-    in_train = np.isin(ids, train_ids)
-    in_test = np.isin(ids, test_ids)
+    return np.isin(ids, train_ids), np.isin(ids, test_ids)
+
+
+def _fit(position, x, y, in_train, in_test, lam):
+    """Fit one position's probe on the split's masks; returns (ProbeResult, true, pred)."""
     w, intercept = ridge_fit(x[in_train], y[in_train], lam)
     pred = x[in_test] @ w + intercept
     true = y[in_test]
@@ -154,18 +157,19 @@ def probe_position(model: GraspModel, instances, position: str, lam: float = 1.0
     if position not in POSITIONS:
         raise ConfigError(f"unknown probe position {position!r}; want one of {POSITIONS}")
     feats, y, ids = extract_probe_set(model, instances, seed=seed)
-    return _fit(position, feats[position], y, ids, len(instances), lam, seed, test_frac)
+    in_train, in_test = _split_masks(ids, len(instances), seed, test_frac)
+    return _fit(position, feats[position], y, in_train, in_test, lam)
 
 
 def probe_report(model: GraspModel, instances, lam: float = 1.0, seed: int = 0,
                  test_frac: float = 0.2, pairs_position: str = "post_fusion") -> dict:
     """Probe every position from one encode and fusion per instance; returns a report dict."""
     feats, y, ids = extract_probe_set(model, instances, seed=seed)
+    in_train, in_test = _split_masks(ids, len(instances), seed, test_frac)
     results = {}
     pairs = None
     for position in POSITIONS:
-        result, true, pred = _fit(position, feats[position], y, ids, len(instances), lam, seed,
-                                  test_frac)
+        result, true, pred = _fit(position, feats[position], y, in_train, in_test, lam)
         results[position] = result
         if position == pairs_position:
             pairs = np.stack([true, pred], axis=1)

@@ -397,7 +397,11 @@ def sigmoid(a):
 
 
 def _relu_arr(x):
-    return np.where(x > 0, x, 0.0)
+    # bit-equal to np.where(x > 0, x, 0.0): fmax maps NaN to 0 as where
+    # does, and adding +0.0 turns the -0.0 that fmax may keep into +0.0
+    y = np.fmax(x, 0.0)
+    y += 0.0
+    return y
 
 
 def relu(a):

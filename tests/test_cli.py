@@ -14,7 +14,7 @@ import pytest
 
 from conftest import count_model_calls
 from grasp import __version__, evalkit
-from grasp.cli import main
+from grasp.cli import build_parser, main
 from grasp.errors import _FIELD_TYPES
 from grasp.geometry import BinaryMask, write_mask
 from grasp.model import GraspConfig, GraspModel
@@ -77,6 +77,22 @@ def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["launch"])
     assert err.value.code == 2
+
+
+def test_one_cached_parser_serves_every_call_as_a_fresh_one(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    a = _gen(tmp_path, "a", n=2, seed=3, config=cfg)
+    bad = ["train", "--data", str(a), "--out", str(tmp_path / "m.ckpt"), "--steps", "many"]
+    with pytest.raises(SystemExit) as err:
+        main(bad)
+    assert err.value.code == 2
+    assert "invalid int value: 'many'" in capsys.readouterr().err
+    b = _gen(tmp_path, "b", n=2, seed=3, config=cfg)
+    assert _dir_digest(a) == _dir_digest(b)
+    assert build_parser() is build_parser()
+    fresh = build_parser.__wrapped__()
+    for argv in (["gen", "--out", str(a), "--n", "2"], bad[:-1] + ["7"]):
+        assert vars(build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
 
 
 def test_missing_checkpoint_is_a_data_error(capsys):

@@ -2,6 +2,7 @@
 parameter accounting, checkpoints, and a whole-model gradient check."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -21,6 +22,7 @@ from grasp.model import (
 )
 from grasp.synthdata import SceneConfig, generate_scene, perturb_vm
 from grasp.tensor import Tensor, backward, zero_grads
+from grasp.training import TrainConfig, train
 
 SMALL = GraspConfig(image_size=16, patch=8, dim=8, heads=2, n_prototypes=4,
                     vm_hidden=4, decoder_hidden=8)
@@ -505,11 +507,79 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(x.logits_amodal.data, y.logits_amodal.data)
 
 
+# sha256 of a fresh model's parameter bytes in named_all order, and of a
+# default seed-0 checkpoint: the layout table must keep every draw of the
+# original per-tensor initialization, in its order
+@pytest.mark.parametrize("cfg,digest", [
+    (GraspConfig(), "2f843a08a1190453a6297106d3ef1fa72051be7f953c82195aa220e68a80b15a"),
+    (SMALL, "73428e55edaba88501f75af631afdf815c65e22179601f6f90ffbb2e8ef0a1e1"),
+], ids=["default", "small"])
+def test_fresh_parameters_keep_their_bytes(cfg, digest):
+    m = GraspModel(cfg, seed=0)
+    h = hashlib.sha256()
+    for _, _, t in m.params.named_all():
+        h.update(t.data.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, GraspModel(GraspConfig(), seed=0))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "b4a5829434c334b5cc9fc3eec355a47a7e010fe50dddb1a8660647cd9303e89e")
+
+
+def _assert_views_of_one_buffer(m):
+    values = m.params.values
+    assert values.dtype == np.float64 and values.ndim == 1 and values.flags.c_contiguous
+    offset = 0
+    for g, n, t in m.params.named_all():
+        assert t.data.base is values, f"{g}.{n}"
+        assert t.data.ctypes.data == values.ctypes.data + 8 * offset, f"{g}.{n}"
+        assert t.data.flags.writeable == (g != "frozen_encoder"), f"{g}.{n}"
+        offset += t.data.size
+    assert offset == values.size
+
+
+def test_every_parameter_is_a_view_of_one_buffer(tmp_path):
+    m = GraspModel(SMALL, seed=4)
+    _assert_views_of_one_buffer(m)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, m)
+    _assert_views_of_one_buffer(load_checkpoint(p)[0])
+
+
+def test_loading_a_checkpoint_draws_nothing_at_random(ckpt, monkeypatch):
+    p, _ = ckpt
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew at random")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    loaded, _ = load_checkpoint(p)
+    assert loaded.params.values.size == sum(t.size for _, _, t in loaded.params.named_all())
+
+
+def test_trained_values_live_in_the_buffer_and_load_back(tmp_path):
+    m = GraspModel(SMALL, seed=6)
+    fresh = m.params.values.copy()
+    train(m, [_small_scene()] * 2, TrainConfig(steps=2, batch=2, lr=1e-2, seed=0))
+    trained = np.concatenate([t.data.ravel() for _, _, t in m.params.named_all()])
+    assert not np.array_equal(trained, fresh)
+    assert trained.tobytes() == m.params.values.tobytes()
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, m, step=2)
+    loaded, step = load_checkpoint(p)
+    assert step == 2 and loaded.params.values.tobytes() == trained.tobytes()
+    for (g, n, a), (_, _, b) in zip(m.params.named_all(), loaded.params.named_all()):
+        assert a.data.tobytes() == b.data.tobytes(), f"{g}.{n}"
+
+
 class _FailingFile:
-    """A binary file whose third write fails, as on a full disk."""
+    """A binary file whose third write, the whole parameter body, fails as on a full disk."""
 
     def __init__(self, fh):
-        self.fh, self.writes = fh, 0
+        self.fh, self.writes, self.failed_bytes = fh, 0, None
 
     def __enter__(self):
         return self
@@ -520,6 +590,7 @@ class _FailingFile:
     def write(self, data):
         self.writes += 1
         if self.writes == 3:
+            self.failed_bytes = memoryview(data).nbytes
             raise OSError(28, "No space left on device")
         return self.fh.write(data)
 
@@ -528,10 +599,16 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
     p = tmp_path / "m.ckpt"
     save_checkpoint(p, GraspModel(SMALL, seed=0))
     before = p.read_bytes()
-    monkeypatch.setattr(grasp.model, "open", lambda *a, **k: _FailingFile(open(*a, **k)),
-                        raising=False)
+    files = []
+
+    def failing_open(*args, **kwargs):
+        files.append(_FailingFile(open(*args, **kwargs)))
+        return files[-1]
+
+    monkeypatch.setattr(grasp.model, "open", failing_open, raising=False)
     with pytest.raises(OSError):
         save_checkpoint(p, GraspModel(SMALL, seed=1), step=3)
+    assert [f.failed_bytes for f in files] == [8 * GraspModel(SMALL).params.values.size]
     assert p.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["m.ckpt"]
     monkeypatch.delattr(grasp.model, "open")
@@ -602,6 +679,21 @@ def test_checkpoint_rejects_missing_parameter(ckpt):
     with pytest.raises(IntegrityError) as err:
         load_checkpoint(d / "bad.ckpt")
     assert "missing" in str(err.value)
+
+
+def test_checkpoint_rejects_permuted_entries(ckpt):
+    p, d = ckpt
+
+    def fix(header, body):
+        # block0_w and block1_w have one shape, so each entry alone is valid
+        entries = header["params"]
+        entries[0], entries[2] = entries[2], entries[0]
+        return body
+
+    _mangle(p, d / "bad.ckpt", fix)
+    with pytest.raises(IntegrityError) as err:
+        load_checkpoint(d / "bad.ckpt")
+    assert "order" in str(err.value)
 
 
 def test_checkpoint_rejects_shape_tampering(ckpt):

@@ -246,6 +246,19 @@ def test_sigmoid_is_stable_at_extreme_inputs():
     assert y.data[0, 1] == 1.0
 
 
+def test_relu_keeps_the_bytes_of_the_where_form():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    # fmax keeps a -0.0 outside its vector loop, as in a short array's tail
+    special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 5 * tiny,
+                        -5 * tiny, 1.0, -1.0, -0.0])
+    rng = np.random.default_rng(12)
+    for x in (special, np.array(-0.0), rng.standard_normal((64, 64)),
+              rng.standard_normal((64, 64)) * 1e-310):
+        want = np.where(x > 0, x, 0.0)
+        assert relu(x).tobytes() == want.tobytes()
+        assert relu(Tensor(x)).data.tobytes() == want.tobytes()
+
+
 def test_softmax_is_stable_at_large_logits():
     y = Tensor([[1000.0, 1000.5, 999.0]]).softmax(1)
     assert np.all(np.isfinite(y.data))
