@@ -34,7 +34,7 @@ def _load_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise GraspError(f"{path}: malformed config JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise GraspError(f"{path}: config must be a JSON object")

@@ -207,15 +207,17 @@ class GraspParams:
     Every parameter's values live in one float64 buffer, laid out by
     ``param_layout``: the frozen blocks first, then the trainables.
     Each ``Tensor.data`` is a view into it, and the frozen views are
-    read-only.  ``values`` is such a buffer already filled, as read
-    from a checkpoint; without it every row is drawn from its
-    initializer.
+    read-only.  Each trainable's ``Tensor.grad`` is a view into ``grads``,
+    laid out as the trainable tail of ``values``.  ``values`` is such a
+    buffer already filled, as read from a checkpoint; without it every
+    row is drawn from its initializer.
     """
 
     def __init__(self, config: GraspConfig, seed: int, values: np.ndarray | None = None):
         self.seed = int(seed)
         layout = param_layout(config)
         ends = list(itertools.accumulate(row.size for row in layout))
+        n_frozen = sum(row.size for row in layout if not row.trainable)
         if values is None:
             values = np.zeros(ends[-1])
             rngs = {}
@@ -226,14 +228,17 @@ class GraspParams:
                     values[end - row.size:end] = rngs[row.tag].normal(0.0, row.scale,
                                                                       row.size)
         self.values = values
+        self.grads = np.zeros(ends[-1] - n_frozen)
         self.frozen: dict[str, Tensor] = {}
         self.groups: dict[str, dict[str, Tensor]] = {}
         for row, end in zip(layout, ends):
-            t = Tensor._wrap(values[end - row.size:end].reshape(row.shape), row.trainable, None)
+            data = values[end - row.size:end].reshape(row.shape)
             if row.trainable:
+                grad = self.grads[end - row.size - n_frozen:end - n_frozen].reshape(row.shape)
+                t = Tensor._wrap(data, True, None, grad)
                 self.groups.setdefault(row.group, {})[row.name] = t
             else:
-                self.frozen[row.name] = t
+                self.frozen[row.name] = Tensor._wrap(data, False, None)
 
     def named_trainable(self):
         for group, tensors in self.groups.items():
@@ -439,11 +444,6 @@ class GraspModel:
         counts["total_trainable"] = total
         return counts
 
-    # -- checkpoints -------------------------------------------------------
-
-    def save(self, path, step: int = 0, extra: dict | None = None) -> None:
-        save_checkpoint(path, self, step=step, extra=extra)
-
 
 def save_checkpoint(path, model: GraspModel, step: int = 0, extra: dict | None = None) -> None:
     """JSON header line, then the parameter buffer as raw little-endian float64.
@@ -520,11 +520,16 @@ def load_checkpoint(path) -> tuple[GraspModel, int]:
                 )
             if entry["bytes"] != row.size * 8:
                 raise IntegrityError(f"{path}: block size {entry['bytes']} wrong for {key}")
-        values = np.empty(sum(row.size for row in layout), dtype="<f8")
-        if fh.readinto(values) != values.nbytes:
+        # the body must fill the rest of the file: checked before anything is allocated
+        nbytes = 8 * sum(row.size for row in layout)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < nbytes:
             raise IntegrityError(f"{path}: truncated parameter body")
-        if fh.read(1):
+        if left > nbytes:
             raise IntegrityError(f"{path}: trailing bytes after the last parameter block")
+        values = np.empty(nbytes // 8, dtype="<f8")
+        if fh.readinto(values) != nbytes:
+            raise IntegrityError(f"{path}: truncated parameter body")
     values = values.astype(np.float64, copy=False)  # a no-op on a little-endian host
     # one check over the whole buffer: a NaN or infinite parameter is corrupt data
     if not np.isfinite(values).all():

@@ -50,6 +50,8 @@ def read_pgm(path) -> np.ndarray:
         w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     except ValueError as exc:
         raise DatasetIOError(f"{path}: malformed PGM header") from exc
+    if w < 1 or h < 1:
+        raise DatasetIOError(f"{path}: PGM size {w}x{h} is not positive")
     if maxval != 255:
         raise DatasetIOError(f"{path}: unsupported maxval {maxval}")
     data = raw[pos : pos + h * w]

@@ -162,16 +162,15 @@ def probe_position(model: GraspModel, instances, position: str, lam: float = 1.0
 
 
 def probe_report(model: GraspModel, instances, lam: float = 1.0, seed: int = 0,
-                 test_frac: float = 0.2, pairs_position: str = "post_fusion") -> dict:
+                 test_frac: float = 0.2) -> dict:
     """Probe every position from one encode and fusion per instance; returns a report dict."""
     feats, y, ids = extract_probe_set(model, instances, seed=seed)
     in_train, in_test = _split_masks(ids, len(instances), seed, test_frac)
     results = {}
-    pairs = None
     for position in POSITIONS:
         result, true, pred = _fit(position, feats[position], y, in_train, in_test, lam)
         results[position] = result
-        if position == pairs_position:
+        if position == "post_fusion":
             pairs = np.stack([true, pred], axis=1)
     pre, post = results["pre_fusion"], results["post_fusion"]
     delta = None
@@ -180,7 +179,7 @@ def probe_report(model: GraspModel, instances, lam: float = 1.0, seed: int = 0,
     return {
         "results": {k: v.to_dict() for k, v in results.items()},
         "delta_r2_fusion": delta,
-        "pairs_position": pairs_position,
+        "pairs_position": "post_fusion",
         "pairs": pairs,
         "lam": lam,
         "seed": seed,

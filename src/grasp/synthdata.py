@@ -419,7 +419,7 @@ def read_dataset(data_dir) -> tuple[DatasetManifest, list[SceneInstance]]:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DatasetIOError(f"{manifest_path}: malformed JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise DatasetIOError(f"{manifest_path}: manifest is not a JSON object")

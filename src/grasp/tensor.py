@@ -18,10 +18,10 @@ batched losses) fall out naturally.
 
 Tensors created with ``requires_grad=False`` are frozen: their backing
 arrays are marked read-only at construction.  Only leaves (parameters:
-tensors built with ``requires_grad=True``) own a gradient buffer, zeroed
-at construction and only ever added to; call :func:`zero_grads` between
-optimizer steps.  Interior gradients exist only inside the backward
-sweep.
+tensors built with ``requires_grad=True``) keep a gradient, zeroed at
+construction and only ever added to; call :func:`zero_grads` between
+optimizer steps.  A model's are views of one buffer, ``GraspParams.grads``.
+Interior gradients exist only inside the backward sweep.
 
 Each op's forward arithmetic, with its shape and dimension checks, is
 one plain-array function (``_<op>_arr``).  An op given no Tensor
@@ -64,21 +64,23 @@ class Tensor:
         self._init(arr, requires_grad, None)
 
     @classmethod
-    def _wrap(cls, arr, requires_grad, pairs):
-        # Internal constructor that takes ownership of ``arr`` (no copy).
+    def _wrap(cls, arr, requires_grad, pairs, grad=None):
+        # Internal constructor that takes ownership of ``arr`` and a leaf's ``grad`` (no copy).
         arr = np.asarray(arr, dtype=np.float64)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         t = object.__new__(cls)
-        t._init(arr, requires_grad, pairs)
+        t._init(arr, requires_grad, pairs, grad)
         return t
 
-    def _init(self, arr, requires_grad, pairs):
+    def _init(self, arr, requires_grad, pairs, grad=None):
         if not requires_grad:
             arr.flags.writeable = False
         self.data = arr
         # leaves keep an accumulator; interior gradients live in the sweep
-        self.grad = np.zeros_like(arr) if requires_grad and pairs is None else None
+        if grad is None and requires_grad and pairs is None:
+            grad = np.zeros_like(arr)
+        self.grad = grad
         self.requires_grad = requires_grad
         self.pairs = pairs
         self.seq = next(_SEQ)

@@ -176,35 +176,39 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
 
 
 class AdamW:
-    """Adam with decoupled weight decay.
+    """Adam with decoupled weight decay, stepping one parameter array by its gradient.
 
     A parameter with zero gradient and zero decay is a fixed point:
     its moments stay zero, so the update is exactly zero.
     """
 
-    def __init__(self, tensors, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-4):
-        self.tensors = list(tensors)
+    def __init__(self, values, grads, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-4):
+        self.values, self.grads = values, grads
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(t.data) for t in self.tensors]
-        self.v = [np.zeros_like(t.data) for t in self.tensors]
+        self.m = np.zeros_like(values)
+        self.v = np.zeros_like(values)
+        # scratch: a parameter-sized temporary costs more than its arithmetic
+        self._update = np.empty_like(values)
+        self._scratch = np.empty_like(values)
 
     def step(self, lr: float) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        for p, m, v in zip(self.tensors, self.m, self.v):
-            g = p.grad
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= lr * update
+        g, m, v, update, s = self.grads, self.m, self.v, self._update, self._scratch
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=s)
+        v *= b2
+        v += np.multiply(np.multiply(1.0 - b2, g, out=s), g, out=s)
+        np.sqrt(np.divide(v, c2, out=s), out=s)
+        s += self.eps
+        np.divide(np.divide(m, c1, out=update), s, out=update)
+        if self.weight_decay:
+            update += np.multiply(self.weight_decay, self.values, out=s)
+        self.values -= np.multiply(lr, update, out=update)
 
 
 @dataclass
@@ -221,14 +225,9 @@ def train(model: GraspModel, instances: list[SceneInstance], config: TrainConfig
         raise ConfigError("cannot train on an empty dataset")
     n = len(instances)
     rng = np.random.default_rng(derive_seed(config.seed, "batch-sampler"))
-    trainable = list(model.params.trainable())
-    opt = AdamW(
-        trainable,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.eps,
-        weight_decay=config.weight_decay,
-    )
+    params = model.params
+    opt = AdamW(params.values[-params.grads.size:], params.grads, beta1=config.beta1,
+                beta2=config.beta2, eps=config.eps, weight_decay=config.weight_decay)
 
     history = []
     # each row is written and flushed as its step ends, so a crash keeps the history
@@ -238,7 +237,7 @@ def train(model: GraspModel, instances: list[SceneInstance], config: TrainConfig
             csv.flush()
         for step in range(config.steps):
             lr = cosine_lr(step, config.steps, config.lr)
-            T.zero_grads(trainable)
+            params.grads.fill(0.0)
             if n >= config.batch:
                 picks = rng.choice(n, size=config.batch, replace=False)
             else:

@@ -17,7 +17,7 @@ from grasp import __version__, evalkit
 from grasp.cli import build_parser, main
 from grasp.errors import _FIELD_TYPES
 from grasp.geometry import BinaryMask, write_mask
-from grasp.model import GraspConfig, GraspModel
+from grasp.model import GraspConfig, GraspModel, param_layout, save_checkpoint
 from grasp.pgm import read_pgm
 from grasp.synthdata import SceneConfig, generate_scene, perturb_vm, read_dataset
 from grasp.training import TrainConfig
@@ -191,7 +191,8 @@ def test_stats_creates_its_output_directory(tmp_path, monkeypatch, capsys):
     fresh.mkdir()
     monkeypatch.chdir(fresh)
     data = _gen(fresh, "data", n=4, config=_write_config(fresh))
-    GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0).save(fresh / "model.ckpt")
+    save_checkpoint(fresh / "model.ckpt",
+                    GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0))
     for out in ("stats/stats.json", "a/b/stats.json"):
         assert main(["stats", "--ckpt", "model.ckpt", "--data", str(data), "--out", out]) == 0
         assert "gate" in json.loads((fresh / out).read_text())
@@ -390,7 +391,7 @@ def test_sdf_export_bytes_are_pinned(tmp_path, capsys):
 def test_analysis_commands_run_only_the_stages_they_read(tmp_path, capsys, monkeypatch):
     data = _gen(tmp_path, "data", n=4, config=_write_config(tmp_path))
     ckpt = tmp_path / "model.ckpt"
-    GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0).save(ckpt)
+    save_checkpoint(ckpt, GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0))
     calls = count_model_calls(monkeypatch, "forward", "encode", "spm", "decode_branches")
     # per instance: ablate re-gates one forward for its four overrides; probe
     # stops at mask fusion; stats stops at prototype attention
@@ -415,7 +416,7 @@ def test_stats_json_keeps_its_bytes_from_one_sdf_per_instance(tmp_path, capsys, 
     model = GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0)
     model.params.groups["gate"]["alpha"].data[...] = 0.7
     ckpt = tmp_path / "model.ckpt"
-    model.save(ckpt)
+    save_checkpoint(ckpt, model)
     _, instances = read_dataset(data)
     # the payload the separate gate and attention passes give
     want = {"gate": evalkit.gate_stats(model, instances),
@@ -450,7 +451,7 @@ def _nan_first_block(body):
 def test_non_finite_numbers_end_in_one_config_error_line(tmp_path, capsys):
     data = _gen(tmp_path, "data", n=4, config=_write_config(tmp_path))
     ckpt = tmp_path / "model.ckpt"
-    GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0).save(ckpt)
+    save_checkpoint(ckpt, GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0))
     write_mask(tmp_path / "m.pgm", BinaryMask(np.eye(8, dtype=bool)))
     sdf_argv = ["sdf", "--mask", str(tmp_path / "m.pgm"), "--out", str(tmp_path / "sdf")]
     probe_argv = ["probe", "--ckpt", str(ckpt), "--data", str(data),
@@ -471,7 +472,7 @@ def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     data = _gen(tmp_path, "data", n=4, config=cfg)
     ckpt = tmp_path / "model.ckpt"
-    GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0).save(ckpt)
+    save_checkpoint(ckpt, GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0))
 
     bad_ckpts = {
         "extra_config_key": dict(fix_header=lambda h: h["config"].update(bogus=1)),
@@ -488,10 +489,33 @@ def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
     del manifest["instances"][1]["seed"]
     (no_seed_data / "manifest.json").write_text(json.dumps(manifest))
 
+    huge = GraspConfig(image_size=2**20, patch=2**20)
+    _rewrite_checkpoint(ckpt, tmp_path / "huge.ckpt", fix_header=lambda h: h.update(
+        config=huge.to_dict(),
+        params=[{"group": r.group, "name": r.name, "shape": list(r.shape), "bytes": 8 * r.size}
+                for r in param_layout(huge)]))
+
+    not_utf8_data = tmp_path / "not_utf8_data"
+    shutil.copytree(data, not_utf8_data)
+    (not_utf8_data / "manifest.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe{}")
+
+    sdf_argv = ["sdf", "--out", str(tmp_path / "sdf"), "--mask"]
+    bad_pgms = []
+    for i, size in enumerate((b"-4 -4", b"0 0", b"4 -4")):
+        bad_pgms.append(tmp_path / f"size{i}.pgm")
+        bad_pgms[-1].write_bytes(b"P5\n" + size + b"\n255\n" + bytes(16))
+
     (tmp_path / "bogus").mkdir()
     bogus_model = _write_config(tmp_path / "bogus", {**SMALL_CONFIG, "model": {"bogus": 1}})
     eval_argv = ["eval", "--data", str(data), "--out", str(tmp_path / "rep")]
-    cases = [
+    cases = [(sdf_argv + [str(pgm)], "DatasetIOError") for pgm in bad_pgms]
+    cases += [
+        (["gen", "--out", str(tmp_path / "gen"), "--n", "2",
+          "--config", str(tmp_path / "not_utf8.json")], "GraspError"),
+        (["train", "--data", str(not_utf8_data), "--out", str(tmp_path / "t.ckpt")],
+         "DatasetIOError"),
+        (eval_argv + ["--ckpt", str(tmp_path / "huge.ckpt")], "IntegrityError"),
         (["train", "--data", str(data), "--out", str(tmp_path / "t.ckpt"),
           "--config", bogus_model], "ConfigError"),
         (["train", "--data", str(data), "--out", str(tmp_path / "t.ckpt"),
@@ -511,5 +535,5 @@ def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
         out = capsys.readouterr()
         lines = out.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error:{kind}:"), (argv, out.err)
-    assert not (tmp_path / "rep").exists()
-    assert not (tmp_path / "t.ckpt").exists()
+    for made in ("rep", "t.ckpt", "gen", "sdf"):
+        assert not (tmp_path / made).exists(), made

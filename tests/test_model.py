@@ -18,6 +18,7 @@ from grasp.model import (
     GraspModel,
     N_FROZEN_BLOCKS,
     load_checkpoint,
+    param_layout,
     save_checkpoint,
 )
 from grasp.synthdata import SceneConfig, generate_scene, perturb_vm
@@ -549,6 +550,33 @@ def test_every_parameter_is_a_view_of_one_buffer(tmp_path):
     _assert_views_of_one_buffer(load_checkpoint(p)[0])
 
 
+def _assert_gradients_are_views_of_one_buffer(m):
+    grads = m.params.grads
+    assert grads.dtype == np.float64 and grads.ndim == 1 and grads.flags.c_contiguous
+    assert all(t.grad is None for t in m.params.frozen.values())
+    offset = 0
+    for g, n, t in m.params.named_trainable():
+        assert t.grad.base is grads and t.grad.shape == t.data.shape, f"{g}.{n}"
+        assert t.grad.ctypes.data == grads.ctypes.data + 8 * offset, f"{g}.{n}"
+        offset += t.grad.size
+    assert offset == grads.size == m.params.values.size - sum(
+        t.size for t in m.params.frozen.values())
+
+
+def test_every_trainable_gradient_is_a_view_of_one_buffer(tmp_path):
+    m = GraspModel(SMALL, seed=4)
+    _assert_gradients_are_views_of_one_buffer(m)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, m)
+    loaded = load_checkpoint(p)[0]
+    _assert_gradients_are_views_of_one_buffer(loaded)
+    inst = _small_scene()
+    logits = loaded.forward(inst.image, inst.visible).logits_amodal
+    backward(logits, np.ones(logits.shape))
+    flat = np.concatenate([t.grad.ravel() for t in loaded.params.trainable()])
+    assert flat.any() and flat.tobytes() == loaded.params.grads.tobytes()
+
+
 def test_loading_a_checkpoint_draws_nothing_at_random(ckpt, monkeypatch):
     p, _ = ckpt
 
@@ -715,6 +743,27 @@ def test_checkpoint_rejects_truncated_body(ckpt):
         return body[:-16]
 
     _mangle(p, d / "bad.ckpt", fix)
+    with pytest.raises(IntegrityError) as err:
+        load_checkpoint(d / "bad.ckpt")
+    assert "truncated" in str(err.value)
+
+
+def test_checkpoint_body_size_is_checked_before_allocating(ckpt, monkeypatch):
+    p, d = ckpt
+
+    def fix(header, body):
+        # a valid config whose entries match it, with a body far too large to allocate
+        cfg = GraspConfig(image_size=2**20, patch=2**20)
+        header["config"] = cfg.to_dict()
+        header["params"] = [{"group": r.group, "name": r.name, "shape": list(r.shape),
+                             "bytes": 8 * r.size} for r in param_layout(cfg)]
+        return body
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint allocated the body")
+
+    _mangle(p, d / "bad.ckpt", fix)
+    monkeypatch.setattr(np, "empty", refuse)
     with pytest.raises(IntegrityError) as err:
         load_checkpoint(d / "bad.ckpt")
     assert "truncated" in str(err.value)

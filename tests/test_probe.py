@@ -279,8 +279,8 @@ def test_probe_report_is_deterministic():
 def test_probe_report_pairs_follow_requested_position():
     model = GraspModel(SMALL, seed=0)
     insts = _instances(4)
-    report = probe_report(model, insts, seed=0, pairs_position="random_baseline")
-    _, true, pred = probe_position(model, insts, "random_baseline", seed=0)
+    report = probe_report(model, insts, seed=0)
+    _, true, pred = probe_position(model, insts, "post_fusion", seed=0)
     assert np.array_equal(report["pairs"], np.stack([true, pred], axis=1))
 
 

@@ -1,5 +1,6 @@
 """Losses, the optimizer, the schedule, and the training loop."""
 
+import hashlib
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -291,7 +292,7 @@ def test_cosine_schedule_monotone_and_clamped():
 def test_adamw_zero_gradient_zero_decay_is_a_fixed_point():
     p = Tensor([[1.5, -2.5]], requires_grad=True)
     keep = p.data.copy()
-    opt = AdamW([p], weight_decay=0.0)
+    opt = AdamW(p.data, p.grad, weight_decay=0.0)
     for _ in range(5):
         opt.step(0.1)
     assert np.array_equal(p.data, keep)
@@ -299,7 +300,7 @@ def test_adamw_zero_gradient_zero_decay_is_a_fixed_point():
 
 def test_adamw_decay_is_decoupled_from_the_gradient():
     p = Tensor([[2.0]], requires_grad=True)
-    opt = AdamW([p], weight_decay=0.01)
+    opt = AdamW(p.data, p.grad, weight_decay=0.01)
     opt.step(0.5)  # zero gradient: only decay acts
     assert p.data[0, 0] == 2.0 - 0.5 * 0.01 * 2.0
 
@@ -310,7 +311,7 @@ def test_adamw_single_step_matches_hand_formula():
     g = rng.standard_normal((3, 2))
     p = Tensor(x0, requires_grad=True)
     p.grad[...] = g
-    opt = AdamW([p], beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-4)
+    opt = AdamW(p.data, p.grad, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-4)
     opt.step(1e-2)
     # bias-corrected first step: mhat = g, vhat = g^2
     want = x0 - 1e-2 * (g / (np.abs(g) + 1e-8) + 1e-4 * x0)
@@ -321,7 +322,7 @@ def test_adamw_matches_reference_loop():
     rng = np.random.default_rng(7)
     x0 = rng.standard_normal(4)
     p = Tensor(x0, requires_grad=True)
-    opt = AdamW([p], beta1=0.9, beta2=0.99, eps=1e-8, weight_decay=0.02)
+    opt = AdamW(p.data, p.grad, beta1=0.9, beta2=0.99, eps=1e-8, weight_decay=0.02)
     x = x0.copy()
     m = np.zeros(4)
     v = np.zeros(4)
@@ -336,6 +337,47 @@ def test_adamw_matches_reference_loop():
         x = x - 3e-3 * (mhat / (np.sqrt(vhat) + 1e-8) + 0.02 * x)
         assert np.allclose(p.data, x, atol=1e-15), f"step {t}"
         p.zero_grad()
+
+
+def _per_tensor_adamw_step(params, grads, m, v, t, lr, b1, b2, eps, weight_decay):
+    """The reference: one AdamW step as a loop over per-tensor arrays."""
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    for p, g, m_, v_ in zip(params, grads, m, v):
+        m_ *= b1
+        m_ += (1.0 - b1) * g
+        v_ *= b2
+        v_ += (1.0 - b2) * g * g
+        update = (m_ / c1) / (np.sqrt(v_ / c2) + eps)
+        if weight_decay:
+            update = update + weight_decay * p
+        p -= lr * update
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_flat_adamw_is_bit_equal_to_the_per_tensor_loop(weight_decay):
+    model = GraspModel(GraspConfig(), seed=2)
+    params = model.params
+    trainable = params.trainable()
+    want = [t.data.copy() for t in trainable]
+    m = [np.zeros_like(p) for p in want]
+    v = [np.zeros_like(p) for p in want]
+    cfg = TrainConfig(weight_decay=weight_decay)
+    opt = AdamW(params.values[-params.grads.size:], params.grads, beta1=cfg.beta1,
+                beta2=cfg.beta2, eps=cfg.eps, weight_decay=weight_decay)
+    rng = np.random.default_rng(11)
+    for step in range(6):
+        params.grads.fill(0.0)
+        for t in trainable:
+            t.grad += rng.normal(0.0, 10.0 ** rng.integers(-6, 1), t.shape)
+        lr = cosine_lr(step, 6, 1e-2)
+        _per_tensor_adamw_step(want, [t.grad for t in trainable], m, v, step + 1, lr,
+                               cfg.beta1, cfg.beta2, cfg.eps, weight_decay)
+        opt.step(lr)
+        for i, t in enumerate(trainable):
+            assert t.data.tobytes() == want[i].tobytes(), f"step {step}, tensor {i}"
+    assert opt.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
+    assert opt.v.tobytes() == np.concatenate([a.ravel() for a in v]).tobytes()
 
 
 # -- gradient accumulation across a batch ---------------------------------------
@@ -478,6 +520,18 @@ def test_train_writes_checkpoints_and_csv(tmp_path):
     assert float(first[1]) == cosine_lr(0, 5, 1e-3)
     for cell in first[1:]:
         float(cell)  # every numeric cell parses back
+
+
+def test_default_train_keeps_its_checkpoint_and_loss_bytes(tmp_path):
+    # sha256 of a short default-config run's outputs: the optimizer's
+    # arithmetic and its order must stay what they were per tensor
+    insts = generate_dataset(12, 5, SceneConfig())
+    ckpt, csv = tmp_path / "m.ckpt", tmp_path / "loss.csv"
+    train(GraspModel(GraspConfig(), seed=0), insts, TrainConfig(steps=3, seed=1),
+          ckpt_path=ckpt, loss_csv_path=csv)
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (ckpt, csv)]
+    assert digests == ["48c38d755d878113edfda1909346faa69e8be306e89cdfc69f5efac1ae5d0382",
+                       "443fc4fe1f1f7c16e8835d745bbe97b20a5c97523fa70614383313341e870b19"]
 
 
 def test_loss_csv_streams_one_flushed_row_per_step(tmp_path):
