@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, evalkit, probe as probe_mod
-from .errors import ConfigError, GraspError
+from .errors import ConfigError, GraspError, parse_json_object
 from .geometry import read_mask, sdf, sdf_to_csv, sdf_to_pgm
 from .model import GraspConfig, GraspModel, load_checkpoint
 from .pgm import write_pgm
@@ -31,14 +31,8 @@ from .training import TrainConfig, train
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise GraspError(f"{path}: malformed config JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise GraspError(f"{path}: config must be a JSON object")
-    return data
+    with open(path, "rb") as fh:
+        return parse_json_object(fh.read(), f"{path}: config", GraspError)
 
 
 def _merge(section: dict, overrides: dict) -> dict:

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the checks that raise
 them for config dicts and stored JSON records."""
 
+import json
 from dataclasses import fields
 
 
@@ -68,6 +69,24 @@ def config_from_dict(cls, d):
         return cls(**d)
     except TypeError as exc:
         raise ConfigError(f"{cls.__name__}: ill-typed value ({exc})") from exc
+
+
+def check_ranges(config, checks) -> None:
+    """Raise ConfigError at the first ``(field, ok, want)`` of ``config`` whose ``ok`` is False."""
+    for name, ok, want in checks:
+        if not ok:
+            raise ConfigError(f"{name} {getattr(config, name)!r} must be {want}")
+
+
+def parse_json_object(raw: bytes, what: str, error: type) -> dict:
+    """The JSON object that UTF-8 ``raw`` holds; ``error`` if it is malformed or no object."""
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{what}: malformed JSON ({exc})") from exc
+    if not isinstance(value, dict):
+        raise error(f"{what} is not a JSON object")
+    return value
 
 
 def check_fields(record, fields: dict, what: str, error: type) -> None:

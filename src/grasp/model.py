@@ -45,7 +45,8 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError, IntegrityError, check_fields, config_from_dict
+from .errors import (ConfigError, DimensionError, IntegrityError, check_fields, config_from_dict,
+                     parse_json_object)
 from .geometry import BinaryMask, pool_to_grid, sdf
 from .seeding import derive_seed
 from .tensor import AttentionParams, Tensor
@@ -66,6 +67,8 @@ class GraspConfig:
     gate_override: Optional[float] = None
 
     def __post_init__(self):
+        if self.patch < 1:
+            raise ConfigError(f"patch {self.patch} must be positive")
         if self.image_size < self.patch or self.image_size % self.patch:
             raise ConfigError(
                 f"patch {self.patch} does not divide image size {self.image_size}"
@@ -235,10 +238,10 @@ class GraspParams:
             data = values[end - row.size:end].reshape(row.shape)
             if row.trainable:
                 grad = self.grads[end - row.size - n_frozen:end - n_frozen].reshape(row.shape)
-                t = Tensor._wrap(data, True, None, grad)
+                t = Tensor._wrap(data, True, grad=grad)
                 self.groups.setdefault(row.group, {})[row.name] = t
             else:
-                self.frozen[row.name] = Tensor._wrap(data, False, None)
+                self.frozen[row.name] = Tensor._wrap(data, False)
 
     def named_trainable(self):
         for group, tensors in self.groups.items():
@@ -448,11 +451,11 @@ class GraspModel:
 def save_checkpoint(path, model: GraspModel, step: int = 0, extra: dict | None = None) -> None:
     """JSON header line, then the parameter buffer as raw little-endian float64.
 
-    The header lists each parameter's group, name, shape and byte count
-    in ``named_all`` order, which is the body's order.
+    The header lists each ``param_layout`` row's group, name, shape and
+    byte count, in the layout's order, which is the body's order.
     """
-    entries = [{"group": g, "name": n, "shape": list(t.data.shape), "bytes": t.data.size * 8}
-               for g, n, t in model.params.named_all()]
+    entries = [{"group": row.group, "name": row.name, "shape": list(row.shape),
+                "bytes": row.size * 8} for row in param_layout(model.config)]
     header = {
         "format": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
@@ -488,12 +491,7 @@ def load_checkpoint(path) -> tuple[GraspModel, int]:
     parameter buffer; nothing is drawn at random.
     """
     with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise IntegrityError(f"{path}: malformed checkpoint header") from exc
-        if not isinstance(header, dict):
-            raise IntegrityError(f"{path}: checkpoint header is not a JSON object")
+        header = parse_json_object(fh.readline(), f"{path}: checkpoint header", IntegrityError)
         if header.get("format") != CHECKPOINT_FORMAT:
             raise IntegrityError(f"{path}: unknown checkpoint format {header.get('format')!r}")
         check_fields(header, _HEADER_FIELDS, f"{path}: checkpoint header", IntegrityError)

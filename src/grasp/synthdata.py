@@ -30,7 +30,9 @@ from .errors import (
     DimensionError,
     IntegrityError,
     check_fields,
+    check_ranges,
     config_from_dict,
+    parse_json_object,
 )
 from .geometry import BinaryMask, mask_diff, read_mask, write_mask
 
@@ -65,6 +67,11 @@ class SceneConfig:
         unknown = set(self.shapes) - set(SHAPE_CLASSES)
         if unknown:
             raise ConfigError(f"unknown shape classes {sorted(unknown)}")
+        check_ranges(self, (
+            ("background", 0.0 <= self.background <= 1.0, "in [0, 1]"),
+            ("noise_sigma", 0.0 <= self.noise_sigma < math.inf, "finite and >= 0"),
+            ("overlap_bias", 0.0 <= self.overlap_bias <= 1.0, "in [0, 1]"),
+        ))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -416,13 +423,8 @@ def read_dataset(data_dir) -> tuple[DatasetManifest, list[SceneInstance]]:
     manifest_path = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise DatasetIOError(f"{manifest_path}: manifest missing")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DatasetIOError(f"{manifest_path}: malformed JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise DatasetIOError(f"{manifest_path}: manifest is not a JSON object")
+    with open(manifest_path, "rb") as fh:
+        raw = parse_json_object(fh.read(), f"{manifest_path}: manifest", DatasetIOError)
     if raw.get("format") != DATASET_FORMAT:
         raise DatasetIOError(f"{manifest_path}: unknown format {raw.get('format')!r}")
     check_fields(raw, _MANIFEST_FIELDS, f"{manifest_path}: manifest", DatasetIOError)
@@ -443,7 +445,7 @@ def read_dataset(data_dir) -> tuple[DatasetManifest, list[SceneInstance]]:
         image = image_u8.astype(np.float64) / 255.0
         image.flags.writeable = False
         inst = make_instance(image, visible, amodal, entry["shape_class"], entry["seed"])
-        if abs(inst.occ_ratio - entry["occ_ratio"]) > 1e-9:
+        if not abs(inst.occ_ratio - entry["occ_ratio"]) <= 1e-9:  # NaN fails too
             raise IntegrityError(
                 f"instance {entry['id']}: stored occ_ratio {entry['occ_ratio']} "
                 f"contradicts masks ({inst.occ_ratio})"

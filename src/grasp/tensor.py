@@ -8,9 +8,10 @@ broadcasting, no views escape into user code, and matmul is strictly
 two-dimensional.
 
 Differentiation uses a tape.  Every operation whose output needs a
-gradient keeps, on the output tensor, its (parent, pull) pairs: ``pull``
-maps the output gradient onto that parent.  Creation order is already a
-topological order (an operation's inputs exist before its output), so
+gradient keeps, on the output tensor, its ``parents`` and one ``pull``:
+it maps the output gradient to one contribution per parent, in order,
+or None for a parent that needs no gradient.  Creation order is already
+a topological order (an operation's inputs exist before its output), so
 the backward sweep simply visits the interior tensors reachable from
 the root once each, in descending creation order.  Gradients accumulate
 additively, which makes fan-out and cross-graph accumulation (for
@@ -28,11 +29,11 @@ one plain-array function (``_<op>_arr``).  An op given no Tensor
 operand returns that function's array: no Tensor, pullback or tape is
 built, which is how inference runs the model's stages (see
 ``GraspModel.untaped``).  Given a Tensor, the op coerces the other
-operands, calls the same function on the arrays and records the
-pullbacks, so the taped and untaped values are bit-equal by
+operands, calls the same function on the arrays and records its
+pullback, so the taped and untaped values are bit-equal by
 construction.
 
-Most ops are elementary, one numpy expression per pullback.  Two are
+Most ops are elementary, one numpy expression per parent.  Two are
 fused: ``dense`` is an affine layer and its activation in one node, and
 multi-head attention is two nodes between its projection matmuls
 (softmax weights, then the weighted values).  Their hand-written
@@ -57,32 +58,33 @@ _SEQ = itertools.count()
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "pairs", "seq")
+    __slots__ = ("data", "grad", "requires_grad", "parents", "pull", "seq")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
-        self._init(arr, requires_grad, None)
+        self._init(arr, requires_grad)
 
     @classmethod
-    def _wrap(cls, arr, requires_grad, pairs, grad=None):
+    def _wrap(cls, arr, requires_grad, parents=None, pull=None, grad=None):
         # Internal constructor that takes ownership of ``arr`` and a leaf's ``grad`` (no copy).
         arr = np.asarray(arr, dtype=np.float64)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         t = object.__new__(cls)
-        t._init(arr, requires_grad, pairs, grad)
+        t._init(arr, requires_grad, parents, pull, grad)
         return t
 
-    def _init(self, arr, requires_grad, pairs, grad=None):
+    def _init(self, arr, requires_grad, parents=None, pull=None, grad=None):
         if not requires_grad:
             arr.flags.writeable = False
         self.data = arr
         # leaves keep an accumulator; interior gradients live in the sweep
-        if grad is None and requires_grad and pairs is None:
+        if grad is None and requires_grad and parents is None:
             grad = np.zeros_like(arr)
         self.grad = grad
         self.requires_grad = requires_grad
-        self.pairs = pairs
+        self.parents = parents
+        self.pull = pull
         self.seq = next(_SEQ)
 
     # -- introspection ------------------------------------------------
@@ -200,11 +202,11 @@ class Tape:
         stack = [root]
         while stack:
             t = stack.pop()
-            if id(t) in seen or t.pairs is None:
+            if t.parents is None or id(t) in seen:
                 continue
             seen.add(id(t))
             found.append(t)
-            stack.extend(p for p, _ in t.pairs)
+            stack.extend(t.parents)
         found.sort(key=lambda t: t.seq)
         return cls(found)
 
@@ -212,14 +214,15 @@ class Tape:
         for t in reversed(self.tensors):
             # the sweep owns interior gradients: take this one off its tensor
             g, t.grad = t.grad, None
-            for p, pull in t.pairs:
-                c = pull(g)
-                if p.pairs is None:
+            for p, c in zip(t.parents, t.pull(g)):
+                if not p.requires_grad:
+                    continue
+                if p.parents is None:
                     p.grad += c
                 elif p.grad is None:
                     p.grad = c
                 else:
-                    # never in place: a pull may return g itself or a view of it,
+                    # never in place: a pull may return g itself or views of it,
                     # so two parents can hold the same array
                     p.grad = p.grad + c
 
@@ -240,7 +243,7 @@ def backward(root: Tensor, seed=None):
             raise DimensionError(
                 f"seed gradient shape {seed.shape} does not match root shape {root.shape}"
             )
-    if root.pairs is None:
+    if root.parents is None:
         root.grad += seed
     else:
         root.grad = seed
@@ -285,14 +288,16 @@ def _fit(g, t: Tensor):
     return g
 
 
-def _attach(arr, pairs):
-    """Build the output tensor, keeping the pulls of parents that need grads.
+def _attach(arr, parents, pull):
+    """Build the output tensor; it joins the tape only if a parent needs a gradient.
 
-    ``pairs`` is a list of (parent, pull) where ``pull`` maps the output
-    gradient to that parent's contribution.
+    ``pull`` maps the output gradient to a tuple of one contribution per
+    parent, in order; it may give None for a parent that needs none.
     """
-    pairs = [(p, pull) for p, pull in pairs if p.requires_grad]
-    return Tensor._wrap(arr, bool(pairs), pairs or None)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor._wrap(arr, True, parents, pull)
+    return Tensor._wrap(arr, False)
 
 
 # -- arithmetic ---------------------------------------------------------
@@ -311,7 +316,10 @@ def add(a, b):
         return _elementwise_arr("add", a, b)
     a, b = _coerce(a), _coerce(b)
     out = _elementwise_arr("add", a.data, b.data)
-    return _attach(out, [(a, lambda g: _fit(g, a)), (b, lambda g: _fit(g, b))])
+    return _attach(out, (a, b), lambda g: (
+        _fit(g, a) if a.requires_grad else None,
+        _fit(g, b) if b.requires_grad else None,
+    ))
 
 
 def sub(a, b):
@@ -319,7 +327,10 @@ def sub(a, b):
         return _elementwise_arr("sub", a, b)
     a, b = _coerce(a), _coerce(b)
     out = _elementwise_arr("sub", a.data, b.data)
-    return _attach(out, [(a, lambda g: _fit(g, a)), (b, lambda g: _fit(-g, b))])
+    return _attach(out, (a, b), lambda g: (
+        _fit(g, a) if a.requires_grad else None,
+        _fit(-g, b) if b.requires_grad else None,
+    ))
 
 
 def mul(a, b):
@@ -327,7 +338,10 @@ def mul(a, b):
         return _elementwise_arr("mul", a, b)
     a, b = _coerce(a), _coerce(b)
     out = _elementwise_arr("mul", a.data, b.data)
-    return _attach(out, [(a, lambda g: _fit(g * b.data, a)), (b, lambda g: _fit(g * a.data, b))])
+    return _attach(out, (a, b), lambda g: (
+        _fit(g * b.data, a) if a.requires_grad else None,
+        _fit(g * a.data, b) if b.requires_grad else None,
+    ))
 
 
 def div(a, b):
@@ -335,20 +349,17 @@ def div(a, b):
         return _elementwise_arr("div", a, b)
     a, b = _coerce(a), _coerce(b)
     out = _elementwise_arr("div", a.data, b.data)
-    return _attach(
-        out,
-        [
-            (a, lambda g: _fit(g / b.data, a)),
-            (b, lambda g: _fit(-g * a.data / (b.data * b.data), b)),
-        ],
-    )
+    return _attach(out, (a, b), lambda g: (
+        _fit(g / b.data, a) if a.requires_grad else None,
+        _fit(-g * a.data / (b.data * b.data), b) if b.requires_grad else None,
+    ))
 
 
 def neg(a):
     if _untaped(a):
         return np.negative(a)
     a = _coerce(a)
-    return _attach(np.negative(a.data), [(a, lambda g: -g)])
+    return _attach(np.negative(a.data), (a,), lambda g: (-g,))
 
 
 def _matmul_arr(a, b):
@@ -364,7 +375,10 @@ def matmul(a, b):
         return _matmul_arr(a, b)
     a, b = _coerce(a), _coerce(b)
     out = _matmul_arr(a.data, b.data)
-    return _attach(out, [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)])
+    return _attach(out, (a, b), lambda g: (
+        g @ b.data.T if a.requires_grad else None,
+        a.data.T @ g if b.requires_grad else None,
+    ))
 
 
 def _transpose_arr(a):
@@ -377,7 +391,7 @@ def transpose(a):
     if _untaped(a):
         return _transpose_arr(a)
     a = _coerce(a)
-    return _attach(_transpose_arr(a.data), [(a, lambda g: g.T)])
+    return _attach(_transpose_arr(a.data), (a,), lambda g: (g.T,))
 
 
 # -- pointwise nonlinearities -------------------------------------------
@@ -395,7 +409,7 @@ def sigmoid(a):
         return _sigmoid_arr(a)
     a = _coerce(a)
     y = _sigmoid_arr(a.data)
-    return _attach(y, [(a, lambda g: g * y * (1.0 - y))])
+    return _attach(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def _relu_arr(x):
@@ -410,7 +424,7 @@ def relu(a):
     if _untaped(a):
         return _relu_arr(a)
     a = _coerce(a)
-    return _attach(_relu_arr(a.data), [(a, lambda g: g * (a.data > 0))])
+    return _attach(_relu_arr(a.data), (a,), lambda g: (g * (a.data > 0),))
 
 
 def tanh(a):
@@ -418,7 +432,7 @@ def tanh(a):
         return np.tanh(a)
     a = _coerce(a)
     y = np.tanh(a.data)
-    return _attach(y, [(a, lambda g: g * (1.0 - y * y))])
+    return _attach(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def _softplus_arr(x):
@@ -430,14 +444,14 @@ def softplus(a):
     if _untaped(a):
         return _softplus_arr(a)
     a = _coerce(a)
-    return _attach(_softplus_arr(a.data), [(a, lambda g: g * _sigmoid_arr(a.data))])
+    return _attach(_softplus_arr(a.data), (a,), lambda g: (g * _sigmoid_arr(a.data),))
 
 
 def absolute(a):
     if _untaped(a):
         return np.abs(a)
     a = _coerce(a)
-    return _attach(np.abs(a.data), [(a, lambda g: g * np.sign(a.data))])
+    return _attach(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
 def _softmax_arr(x, axis):
@@ -453,10 +467,7 @@ def softmax(a, axis):
     a = _coerce(a)
     y = _softmax_arr(a.data, axis)
 
-    def pull(g):
-        return y * (g - (g * y).sum(axis=axis, keepdims=True))
-
-    return _attach(y, [(a, pull)])
+    return _attach(y, (a,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
 # -- reductions and structure -------------------------------------------
@@ -470,7 +481,7 @@ def tsum(a):
     if _untaped(a):
         return _tsum_arr(a)
     a = _coerce(a)
-    return _attach(_tsum_arr(a.data), [(a, lambda g: np.full(a.data.shape, float(g)))])
+    return _attach(_tsum_arr(a.data), (a,), lambda g: (np.full(a.data.shape, float(g)),))
 
 
 def _tmean_arr(x):
@@ -482,7 +493,7 @@ def tmean(a):
         return _tmean_arr(a)
     a = _coerce(a)
     n = a.data.size
-    return _attach(_tmean_arr(a.data), [(a, lambda g: np.full(a.data.shape, float(g) / n))])
+    return _attach(_tmean_arr(a.data), (a,), lambda g: (np.full(a.data.shape, float(g) / n),))
 
 
 def _reshape_arr(x, shape):
@@ -495,7 +506,7 @@ def reshape(a, shape):
     if _untaped(a):
         return _reshape_arr(a, shape)
     a = _coerce(a)
-    return _attach(_reshape_arr(a.data, shape), [(a, lambda g: g.reshape(a.data.shape))])
+    return _attach(_reshape_arr(a.data, shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def _concat_arr(arrays, axis):
@@ -512,22 +523,15 @@ def _concat_arr(arrays, axis):
 def concat(tensors, axis):
     if _untaped(*tensors):
         return _concat_arr(tensors, axis)
-    tensors = [_coerce(t) for t in tensors]
+    tensors = tuple(_coerce(t) for t in tensors)
     out = _concat_arr([t.data for t in tensors], axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    pairs = []
-    for i, t in enumerate(tensors):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def pull(g, lo=lo, hi=hi):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
-
-        pairs.append((t, pull))
-    return _attach(out, pairs)
+    # each parent's block of the output, as an index into g
+    index, blocks, hi = [slice(None)] * out.ndim, [], 0
+    for t in tensors:
+        lo, hi = hi, hi + t.data.shape[axis]
+        index[axis] = slice(lo, hi)
+        blocks.append(tuple(index))
+    return _attach(out, tensors, lambda g: [g[block] for block in blocks])
 
 
 def _cols_arr(x, start, stop):
@@ -548,9 +552,9 @@ def cols(a, start, stop):
     def pull(g):
         full = np.zeros(a.data.shape)
         full[:, start:stop] = g
-        return full
+        return (full,)
 
-    return _attach(out, [(a, pull)])
+    return _attach(out, (a,), pull)
 
 
 def _scale_rows_arr(x, s):
@@ -565,13 +569,10 @@ def scale_rows(a, s):
         return _scale_rows_arr(a, s)
     a, s = _coerce(a), _coerce(s)
     out = _scale_rows_arr(a.data, s.data)
-    return _attach(
-        out,
-        [
-            (a, lambda g: g * s.data[:, None]),
-            (s, lambda g: (g * a.data).sum(axis=1)),
-        ],
-    )
+    return _attach(out, (a, s), lambda g: (
+        g * s.data[:, None] if a.requires_grad else None,
+        (g * a.data).sum(axis=1) if s.requires_grad else None,
+    ))
 
 
 def _add_rowvec_arr(x, b):
@@ -586,7 +587,7 @@ def add_rowvec(a, b):
         return _add_rowvec_arr(a, b)
     a, b = _coerce(a), _coerce(b)
     out = _add_rowvec_arr(a.data, b.data)
-    return _attach(out, [(a, lambda g: g), (b, lambda g: g.sum(axis=0))])
+    return _attach(out, (a, b), lambda g: (g, g.sum(axis=0) if b.requires_grad else None))
 
 
 def _dense_arr(x, w, b, act):
@@ -611,40 +612,29 @@ def _dense_arr(x, w, b, act):
 def dense(x, w, b, act=None):
     """An affine layer ``act(x @ w + b)`` as one node; ``act`` is None, "relu" or "tanh".
 
-    Forward and pullbacks evaluate the same numpy expressions as the
+    Forward and pullback evaluate the same numpy expressions as the
     matmul, add_rowvec and activation chain, so outputs and gradients
-    are bit-equal to it.  The activation pull is taken once per sweep
-    and shared by the parents' pulls.
+    are bit-equal to it.  The pullback takes the activation pull first,
+    then each parent's piece of the affine pull; an input that needs no
+    gradient, such as frozen features, costs no matmul.
     """
     if _untaped(x, w, b):
         return _dense_arr(x, w, b, act)
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
     y = _dense_arr(x.data, w.data, b.data, act)
-    memo = []  # [g, activation pull of g] while the sweep runs this node's pulls
 
-    def pre(g):
-        if act is None:
-            return g
-        if not memo or memo[0] is not g:
-            # a relu output is positive exactly where its input was
-            memo[:] = [g, g * (y > 0) if act == "relu" else g * (1.0 - y * y)]
-        return memo[1]
+    def pull(g):
+        if act == "relu":
+            g = g * (y > 0)  # a relu output is positive exactly where its input was
+        elif act == "tanh":
+            g = g * (1.0 - y * y)
+        return (
+            g @ w.data.T if x.requires_grad else None,
+            x.data.T @ g if w.requires_grad else None,
+            g.sum(axis=0) if b.requires_grad else None,
+        )
 
-    pairs = [(p, pull) for p, pull in (
-        (x, lambda g: pre(g) @ w.data.T),
-        (w, lambda g: x.data.T @ pre(g)),
-        (b, lambda g: pre(g).sum(axis=0)),
-    ) if p.requires_grad]
-    if pairs and act is not None:
-        parent, pull = pairs[-1]
-
-        def pull_last(g):
-            c = pull(g)
-            memo.clear()
-            return c
-
-        pairs[-1] = (parent, pull_last)
-    return _attach(y, pairs)
+    return _attach(y, (x, w, b), pull)
 
 
 def _depatchify_arr(x, grid_h, grid_w, patch):
@@ -676,10 +666,10 @@ def depatchify(a, grid_h, grid_w, patch):
         return (
             g.reshape(grid_h, patch, grid_w, patch)
             .transpose(0, 2, 1, 3)
-            .reshape(grid_h * grid_w, patch * patch)
+            .reshape(grid_h * grid_w, patch * patch),
         )
 
-    return _attach(out, [(a, pull)])
+    return _attach(out, (a,), pull)
 
 
 def patchify(image: np.ndarray, patch: int) -> np.ndarray:
@@ -740,31 +730,22 @@ def _attention_weights(qp, kp, heads: int):
     """The attention weights node.
 
     The pullback takes the softmax pull, then the scale, then each head's
-    two matmul pulls into that head's column block of qp and kp; both
-    parents share the one computation.
+    two matmul pulls into that head's column block of qp and kp.
     """
     if _untaped(qp, kp):
         return _attention_weights_arr(qp, kp, heads)[0]
+    qp, kp = _coerce(qp), _coerce(kp)
     y, scale, blocks, qhs, khts = _attention_weights_arr(qp.data, kp.data, heads)
-    memo = []  # [g, (gq, gk)] while the sweep runs this node's two pulls
 
-    def pulls(g):
-        if memo and memo[0] is g:
-            return memo[1]
+    def pull(g):
         gs = y * (g - (g * y).sum(axis=2, keepdims=True)) * scale
         gq, gk = np.zeros(qp.data.shape), np.zeros(kp.data.shape)
         for h, b in enumerate(blocks):
             gq[:, b] = gs[h] @ khts[h].T
             gk[:, b] = (qhs[h].T @ gs[h]).T
-        memo[:] = [g, (gq, gk)]
-        return memo[1]
+        return gq, gk
 
-    def pull_k(g):
-        gk = pulls(g)[1]
-        memo.clear()
-        return gk
-
-    return _attach(y, [(qp, lambda g: pulls(g)[0]), (kp, pull_k)])
+    return _attach(y, (qp, kp), pull)
 
 
 def _attention_mix_arr(weights, vp, heads):
@@ -780,22 +761,18 @@ def _attention_mix_arr(weights, vp, heads):
 def _attention_mix(weights, vp, heads: int):
     if _untaped(weights, vp):
         return _attention_mix_arr(weights, vp, heads)[0]
+    weights, vp = _coerce(weights), _coerce(vp)
     out, blocks, vhs = _attention_mix_arr(weights.data, vp.data, heads)
     y = weights.data
 
-    def pull_v(g):
+    def pull(g):
+        gw = np.stack([g[:, b] @ vh.T for b, vh in zip(blocks, vhs)])
         gv = np.zeros(vp.data.shape)
         for h, b in enumerate(blocks):
             gv[:, b] = y[h].T @ g[:, b]
-        return gv
+        return gw, gv
 
-    return _attach(
-        out,
-        [
-            (weights, lambda g: np.stack([g[:, b] @ vh.T for b, vh in zip(blocks, vhs)])),
-            (vp, pull_v),
-        ],
-    )
+    return _attach(out, (weights, vp), pull)
 
 
 def multihead_cross_attention(q, k, v, params: AttentionParams, heads: int):

@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, IntegrityError, TrainingDiverged, config_from_dict
+from .errors import (ConfigError, IntegrityError, TrainingDiverged, check_ranges,
+                     config_from_dict)
 from .geometry import BinaryMask, mask_diff
 from .model import ForwardTrace, GraspModel, save_checkpoint
 from .seeding import derive_seed
@@ -113,10 +114,8 @@ def total_loss(trace: ForwardTrace, amodal_gt: BinaryMask, visible_gt: BinaryMas
     amodal = bce_a + dice_a
     occluded = bce_o + dice_o
     total = amodal + w * occluded
-    loss = T._attach(np.array(total), [
-        (trace.logits_amodal, pull_a),
-        (trace.logits_occ, lambda g: pull_o(g * w)),
-    ])
+    loss = T._attach(np.array(total), (trace.logits_amodal, trace.logits_occ),
+                     lambda g: (pull_a(g), pull_o(g * w)))
 
     breakdown = LossBreakdown(
         bce_amodal=float(bce_a),
@@ -147,7 +146,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch < 1:
             raise ConfigError("steps and batch must be positive")
-        for name, ok, want in (
+        check_ranges(self, (
+            ("ckpt_every", self.ckpt_every >= 0, ">= 0"),
             ("clean_vm_prob", 0.0 <= self.clean_vm_prob <= 1.0, "in [0, 1]"),
             ("lr", 0.0 < self.lr < math.inf, "finite and > 0"),
             ("eps", 0.0 < self.eps < math.inf, "finite and > 0"),
@@ -155,9 +155,7 @@ class TrainConfig:
             ("occ_weight", 0.0 <= self.occ_weight < math.inf, "finite and >= 0"),
             ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
             ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
-        ):
-            if not ok:
-                raise ConfigError(f"{name} {getattr(self, name)!r} must be {want}")
+        ))
 
     def to_dict(self) -> dict:
         return asdict(self)

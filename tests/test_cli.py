@@ -468,6 +468,30 @@ def test_non_finite_numbers_end_in_one_config_error_line(tmp_path, capsys):
     assert not (tmp_path / "probe").exists()
 
 
+def test_patch_below_one_ends_in_one_config_error_line(tmp_path, capsys):
+    data = _gen(tmp_path, "data", n=4, config=_write_config(tmp_path))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0))
+    cases = []
+    for patch in (0, -8):
+        cfg = tmp_path / f"patch{patch}.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG,
+                                   "model": {**SMALL_CONFIG["model"], "patch": patch}}))
+        cases.append(["train", "--data", str(data), "--out", str(tmp_path / "t.ckpt"),
+                      "--config", str(cfg)])
+        bad = tmp_path / f"patch{patch}.ckpt"
+        _rewrite_checkpoint(ckpt, bad, fix_header=lambda h, p=patch: h["config"].update(patch=p))
+        cases.append(["eval", "--ckpt", str(bad), "--data", str(data),
+                      "--out", str(tmp_path / "rep")])
+    capsys.readouterr()
+    for argv in cases:
+        assert main(argv) == 1, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:ConfigError:"), (argv, lines)
+    assert not (tmp_path / "t.ckpt").exists()
+    assert not (tmp_path / "rep").exists()
+
+
 def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     data = _gen(tmp_path, "data", n=4, config=cfg)

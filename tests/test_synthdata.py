@@ -1,6 +1,7 @@
 """Scene generator invariants, mask perturbation, dataset round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -151,6 +152,19 @@ def test_scene_config_validation():
         SceneConfig(shapes=())
     with pytest.raises(ConfigError):
         SceneConfig(shapes=("rectangle", "hexagon"))
+
+
+@pytest.mark.parametrize("field", ["background", "noise_sigma", "overlap_bias"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+def test_scene_config_rejects_non_finite_and_out_of_range_floats(field, value):
+    with pytest.raises(ConfigError) as err:
+        SceneConfig.from_dict({field: value})
+    assert field in str(err.value)
+
+
+def test_scene_config_accepts_range_edges():
+    SceneConfig(background=0.0, noise_sigma=0.0, overlap_bias=0.0)
+    SceneConfig(background=1.0, overlap_bias=1.0)
 
 
 def test_scene_config_dict_round_trip():
@@ -364,6 +378,17 @@ def test_read_dataset_detects_occ_ratio_tampering(tmp_path):
     _tamper(tmp_path, mutate)
     with pytest.raises(IntegrityError):
         read_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_read_dataset_rejects_a_non_finite_occ_ratio(tmp_path, value):
+    def mutate(raw):
+        raw["instances"][1]["occ_ratio"] = value
+
+    _tamper(tmp_path, mutate)
+    with pytest.raises(IntegrityError) as err:
+        read_dataset(tmp_path)
+    assert "occ_ratio" in str(err.value)
 
 
 @pytest.mark.parametrize("key,value", [("seed", None), ("image", None), ("occ_ratio", None),

@@ -497,6 +497,22 @@ def test_attention_single_key_weights_are_exactly_one():
     assert np.all(attn.data == 1.0)
 
 
+def test_attention_coerces_array_keys_values_and_weights_beside_a_tensor_query():
+    rng = np.random.default_rng(3)
+    params = AttentionParams.init(4, rng)
+    weights = AttentionParams(*(p.data for _, p in params.tensors()))
+    q, kv = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
+    grads = []
+    for k, p in ((kv, weights), (Tensor(kv), params)):
+        qt = Tensor(q, requires_grad=True)
+        out, attn = multihead_cross_attention(qt, k, k, p, 2)
+        want_out, want_attn = multihead_cross_attention(q, kv, kv, weights, 2)
+        assert np.array_equal(out.data, want_out) and np.array_equal(attn.data, want_attn)
+        out.sum().backward()
+        grads.append(qt.grad)
+    assert np.array_equal(grads[0], grads[1])
+
+
 def _attention_chain(q, k, v, params, heads):
     """Multi-head attention as a per-head chain of elementary tape ops."""
     dh = q.data.shape[1] // heads
@@ -589,7 +605,7 @@ def test_dense_on_constants_records_no_node():
     rng = np.random.default_rng(5)
     x, w, b = _const(rng, (3, 4)), _const(rng, (4, 2)), _const(rng, (2,))
     y = dense(x, w, b, "tanh")
-    assert y.pairs is None and not y.requires_grad
+    assert y.parents is None and not y.requires_grad
     assert np.array_equal(y.data, np.tanh(x.data @ w.data + b.data))
 
 

@@ -589,6 +589,13 @@ def test_train_config_rejects_non_finite_and_out_of_range_numbers(field, value):
     assert field in str(err.value)
 
 
+def test_train_config_rejects_a_negative_ckpt_every():
+    with pytest.raises(ConfigError) as err:
+        TrainConfig.from_dict({"ckpt_every": -1})
+    assert "ckpt_every" in str(err.value)
+    assert TrainConfig(ckpt_every=0).ckpt_every == 0
+
+
 def test_train_config_accepts_range_edges():
     TrainConfig(weight_decay=0.0, occ_weight=0.0, beta1=0.0, beta2=0.0, clean_vm_prob=1.0)
 
