@@ -3,8 +3,8 @@
 Subcommands: gen, train, eval, ablate, probe, stats, sdf.  Every
 subcommand accepts --config JSON_FILE; explicit flags override config
 file values.  Outputs embed the resolved configuration and the package
-version.  Exit codes: 0 success, 1 I/O or data-integrity failure
-(one machine-parsable line on stderr), 2 usage error.
+version.  Exit codes: 0 success, 1 I/O, data-integrity or out-of-memory
+failure (one machine-parsable line on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -293,8 +293,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraspError, OSError) as exc:
-        kind = type(exc).__name__
+    except (GraspError, OSError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; name the public one
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         print(f"error:{kind}:{exc}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,11 @@ actually given).  Optional two-pass inference re-runs the model with a
 self-estimated visible mask: amodal minus occluded from pass one,
 falling back to the original visible-mask input when that estimate is
 empty.
+
+Gate and prototype-attention statistics are reduced as each instance
+finishes: a sweep keeps a few scalars and two running sums per
+instance stream, never an instance's attention maps, gate or SDF
+tokens.
 """
 
 from __future__ import annotations
@@ -232,7 +237,8 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
     if is_model:
         model = model.untaped()
     rows = [[] for _ in overrides]
-    samples = [[] for _ in overrides]  # (occ_ratio, per-token gate, sdf, prototype attention)
+    tallies = [_MechanismTally(model.config.grid) if is_model and collect_stats else None
+               for _ in overrides]
     for index, inst in enumerate(instances):
         if protocol == "standard":
             v_input = perturb_vm(inst.visible, derive_seed(eval_seed, "eval-vm", index))
@@ -240,6 +246,8 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
         else:
             v_input = inst.visible
             vm_iou = None
+        occluded = inst.occluded
+        has_occluded = occluded.any()
 
         trace = first = None
         for k, override in enumerate(overrides):
@@ -262,15 +270,14 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
                 occ_pred = mask_diff(amodal_pred, v_input)
 
             full_iou = iou(amodal_pred, inst.amodal)
-            occ_iou = iou(occ_pred, inst.occluded) if inst.occluded.any() else None
+            occ_iou = iou(occ_pred, occluded) if has_occluded else None
 
             mean_gate = None
             if trace is not None:
                 gate_vals = trace.gate
                 mean_gate = float(gate_vals.mean())
-                if collect_stats:
-                    samples[k].append((inst.occ_ratio, gate_vals, trace.sdf_tokens,
-                                       trace.proto_attn))
+                if tallies[k] is not None:
+                    tallies[k].add(inst.occ_ratio, gate_vals, trace.sdf_tokens, trace.proto_attn)
 
             rows[k].append(
                 {
@@ -310,14 +317,14 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
             config=config_echo,
             version=version,
         )
-        if collect_stats and samples[k] and is_model:
-            report.gate_stats = _aggregate_gate_stats(samples[k], model.config.grid)
-            report.attention_stats = _aggregate_attention_stats(samples[k])
+        if tallies[k] is not None and tallies[k].n:
+            report.gate_stats = tallies[k].gate_stats()
+            report.attention_stats = tallies[k].attention_stats()
         reports.append(report)
     return reports
 
 
-# -- gate statistics --------------------------------------------------------
+# -- mechanism statistics ---------------------------------------------------
 
 
 def _grid_position_classes(grid: int) -> np.ndarray:
@@ -329,47 +336,6 @@ def _grid_position_classes(grid: int) -> np.ndarray:
     classes[on_y | on_x] = 1
     classes[on_y & on_x] = 2
     return classes
-
-
-def _aggregate_gate_stats(samples, grid: int) -> dict:
-    """Mean/σ of the per-instance mean gate by occlusion bin and position."""
-    per_bin = [[] for _ in OCC_BINS]
-    for occ_ratio, gate_vals, _, _ in samples:
-        idx = _bin_index(OCC_BINS, occ_ratio)
-        if idx is not None:
-            per_bin[idx].append(float(gate_vals.mean()))
-    bins_out = []
-    for (lo, hi), vals in zip(OCC_BINS, per_bin):
-        bins_out.append(
-            {
-                "lo": lo,
-                "hi": hi,
-                "n": len(vals),
-                "mean_gate": float(np.mean(vals)) if vals else None,
-                "std_gate": float(np.std(vals)) if vals else None,
-            }
-        )
-
-    classes = _grid_position_classes(grid)
-    names = ("center", "edge", "corner")
-    position_out = {}
-    for cls, name in enumerate(names):
-        sel = classes == cls
-        vals = [float(g[sel].mean()) for _, g, _, _ in samples] if sel.any() else []
-        position_out[name] = {
-            "n_tokens": int(sel.sum()),
-            "mean_gate": float(np.mean(vals)) if vals else None,
-        }
-
-    sdf_all = np.concatenate([s for _, _, s, _ in samples])
-    return {
-        "by_occ_bin": bins_out,
-        "by_grid_position": position_out,
-        "sdf_token_range": [float(sdf_all.min()), float(sdf_all.max())],
-    }
-
-
-# -- attention statistics ----------------------------------------------------
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -387,46 +353,109 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return entropy(m) - 0.5 * (entropy(p) + entropy(q))
 
 
-def _aggregate_attention_stats(samples) -> dict:
-    """Contrast prototype attention between occluded and visible tokens.
+_POSITION_NAMES = ("center", "edge", "corner")
 
-    Tokens are classified by the sign of their pooled signed distance
-    (positive means outside the visible evidence).  Per instance, each
-    group's head-averaged attention rows are averaged into one
-    distribution over prototypes; instances where either group is empty
-    are skipped but counted.
+
+class _MechanismTally:
+    """The gate and attention statistics of a stream of instances.
+
+    ``add`` reduces one instance's gate, SDF tokens and prototype
+    attention to the scalars and running sums the reports read, so no
+    per-instance array outlives its instance.  The arithmetic and its
+    order are those of one pass over all instances at the end, so the
+    reports are bit-identical to it.
     """
-    jsd_values = []
-    top1_occ, top1_vis = [], []
-    sum_occ = sum_vis = None
-    n_skipped = 0
-    for _, _, sdf_tok, attn in samples:
+
+    def __init__(self, grid: int):
+        classes = _grid_position_classes(grid)
+        self.position_sel = [classes == cls for cls in range(len(_POSITION_NAMES))]
+        self.n = 0
+        # gate: per-instance mean gate by occlusion bin and by grid position
+        self.gate_by_bin = [[] for _ in OCC_BINS]
+        self.gate_by_position = [[] for _ in _POSITION_NAMES]
+        self.sdf_mins, self.sdf_maxs = [], []
+        # attention: per-instance scalars and the running distribution sums
+        self.jsd_values, self.top1_occ, self.top1_vis = [], [], []
+        self.sum_occ = self.sum_vis = None
+        self.n_skipped = 0
+
+    def add(self, occ_ratio, gate_vals, sdf_tok, attn) -> None:
+        """One instance; ``gate_vals`` or ``attn`` is None to skip its half."""
+        self.n += 1
+        if gate_vals is not None:
+            idx = _bin_index(OCC_BINS, occ_ratio)
+            if idx is not None:
+                self.gate_by_bin[idx].append(float(gate_vals.mean()))
+            for sel, vals in zip(self.position_sel, self.gate_by_position):
+                if sel.any():
+                    vals.append(float(gate_vals[sel].mean()))
+            self.sdf_mins.append(sdf_tok.min())
+            self.sdf_maxs.append(sdf_tok.max())
+        if attn is not None:
+            self._add_attention(sdf_tok, attn)
+
+    def _add_attention(self, sdf_tok, attn) -> None:
         head_avg = attn.mean(axis=0)  # (tokens, n_prototypes)
         occ_sel = sdf_tok > 0
         vis_sel = ~occ_sel
         if not occ_sel.any() or not vis_sel.any():
-            n_skipped += 1
-            continue
+            self.n_skipped += 1
+            return
         occ_dist = head_avg[occ_sel].mean(axis=0)
         vis_dist = head_avg[vis_sel].mean(axis=0)
-        jsd_values.append(js_divergence(occ_dist, vis_dist))
-        top1_occ.append(float(head_avg[occ_sel].max(axis=1).mean()))
-        top1_vis.append(float(head_avg[vis_sel].max(axis=1).mean()))
-        sum_occ = occ_dist if sum_occ is None else sum_occ + occ_dist
-        sum_vis = vis_dist if sum_vis is None else sum_vis + vis_dist
+        self.jsd_values.append(js_divergence(occ_dist, vis_dist))
+        self.top1_occ.append(float(head_avg[occ_sel].max(axis=1).mean()))
+        self.top1_vis.append(float(head_avg[vis_sel].max(axis=1).mean()))
+        self.sum_occ = occ_dist if self.sum_occ is None else self.sum_occ + occ_dist
+        self.sum_vis = vis_dist if self.sum_vis is None else self.sum_vis + vis_dist
 
-    n_used = len(jsd_values)
-    pooled = None
-    if n_used:
-        pooled = js_divergence(sum_occ / n_used, sum_vis / n_used)
-    return {
-        "n_instances": n_used,
-        "n_skipped": n_skipped,
-        "jsd_mean": float(np.mean(jsd_values)) if jsd_values else None,
-        "jsd_pooled": pooled,
-        "top1_occluded": float(np.mean(top1_occ)) if top1_occ else None,
-        "top1_visible": float(np.mean(top1_vis)) if top1_vis else None,
-    }
+    def gate_stats(self) -> dict:
+        """Mean/σ of the per-instance mean gate by occlusion bin and position."""
+        bins_out = []
+        for (lo, hi), vals in zip(OCC_BINS, self.gate_by_bin):
+            bins_out.append(
+                {
+                    "lo": lo,
+                    "hi": hi,
+                    "n": len(vals),
+                    "mean_gate": float(np.mean(vals)) if vals else None,
+                    "std_gate": float(np.std(vals)) if vals else None,
+                }
+            )
+        position_out = {
+            name: {
+                "n_tokens": int(sel.sum()),
+                "mean_gate": float(np.mean(vals)) if vals else None,
+            }
+            for name, sel, vals in zip(_POSITION_NAMES, self.position_sel, self.gate_by_position)
+        }
+        return {
+            "by_occ_bin": bins_out,
+            "by_grid_position": position_out,
+            "sdf_token_range": [float(np.min(self.sdf_mins)), float(np.max(self.sdf_maxs))],
+        }
+
+    def attention_stats(self) -> dict:
+        """Contrast prototype attention between occluded and visible tokens.
+
+        Tokens are classified by the sign of their pooled signed distance
+        (positive means outside the visible evidence).  Per instance, each
+        group's head-averaged attention rows are averaged into one
+        distribution over prototypes; instances where either group is
+        empty are skipped but counted.
+        """
+        n_used = len(self.jsd_values)
+        pooled = None
+        if n_used:
+            pooled = js_divergence(self.sum_occ / n_used, self.sum_vis / n_used)
+        return {
+            "n_instances": n_used,
+            "n_skipped": self.n_skipped,
+            "jsd_mean": float(np.mean(self.jsd_values)) if self.jsd_values else None,
+            "jsd_pooled": pooled,
+            "top1_occluded": float(np.mean(self.top1_occ)) if self.top1_occ else None,
+            "top1_visible": float(np.mean(self.top1_vis)) if self.top1_vis else None,
+        }
 
 
 def gate_stats(model: GraspModel, instances: list[SceneInstance]) -> Optional[dict]:
@@ -438,12 +467,11 @@ def gate_stats(model: GraspModel, instances: list[SceneInstance]) -> Optional[di
     """
     model = model.untaped()
     override = model.resolve_override()
-    samples = []
+    tally = _MechanismTally(model.config.grid)
     for inst in instances:
         sdf_tok = model.sdf_tokens(inst.visible)
-        gate = applied_gate(model.gate(sdf_tok), override)
-        samples.append((inst.occ_ratio, gate, sdf_tok, None))
-    return _aggregate_gate_stats(samples, model.config.grid) if samples else None
+        tally.add(inst.occ_ratio, applied_gate(model.gate(sdf_tok), override), sdf_tok, None)
+    return tally.gate_stats() if tally.n else None
 
 
 def attention_stats(model: GraspModel, instances: list[SceneInstance]) -> Optional[dict]:
@@ -453,11 +481,11 @@ def attention_stats(model: GraspModel, instances: list[SceneInstance]) -> Option
     only; the result equals ``evaluate(model, instances, "oracle").attention_stats``.
     """
     model = model.untaped()
-    samples = []
+    tally = _MechanismTally(model.config.grid)
     for inst in instances:
         trace = model.prefix(model.encode(inst.image), inst.visible)
-        samples.append((None, None, trace.sdf_tokens, trace.proto_attn))
-    return _aggregate_attention_stats(samples) if samples else None
+        tally.add(None, None, trace.sdf_tokens, trace.proto_attn)
+    return tally.attention_stats() if tally.n else None
 
 
 def mechanism_stats(model: GraspModel, instances: list[SceneInstance]
@@ -469,14 +497,14 @@ def mechanism_stats(model: GraspModel, instances: list[SceneInstance]
     """
     model = model.untaped()
     override = model.resolve_override()
-    samples = []
+    tally = _MechanismTally(model.config.grid)
     for inst in instances:
         trace = model.prefix(model.encode(inst.image), inst.visible)
         gate = applied_gate(model.gate(trace.sdf_tokens), override)
-        samples.append((inst.occ_ratio, gate, trace.sdf_tokens, trace.proto_attn))
-    if not samples:
+        tally.add(inst.occ_ratio, gate, trace.sdf_tokens, trace.proto_attn)
+    if not tally.n:
         return None, None
-    return _aggregate_gate_stats(samples, model.config.grid), _aggregate_attention_stats(samples)
+    return tally.gate_stats(), tally.attention_stats()
 
 
 def ablate(model: GraspModel, instances: list[SceneInstance], protocol: str = "oracle",

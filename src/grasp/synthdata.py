@@ -4,9 +4,9 @@ A scene is a stack of 2-4 parametric shapes (rectangle, ellipse,
 triangle, L-shape) in a random depth order on a dark background.  Each
 object's amodal mask is its full rendered silhouette; its visible mask
 removes everything covered by strictly nearer objects; the occluded
-mask is their difference.  Nearer objects are rendered brighter, so
-pixel intensity carries a depth cue the way shading does in the
-curated crops this stands in for.
+mask is their difference, derived on each read rather than stored.
+Nearer objects are rendered brighter, so pixel intensity carries a
+depth cue the way shading does in the curated crops this stands in for.
 
 Every scene is a pure function of its seed.  Scene i of a dataset uses
 seed base_seed + i, and placement is biased so that heavily occluded
@@ -39,6 +39,9 @@ from .geometry import BinaryMask, mask_diff, read_mask, write_mask
 SHAPE_CLASSES = ("rectangle", "ellipse", "triangle", "l_shape")
 OCC_BINS = ((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0))
 
+# Largest scene side: one float64 image of it is 128 MiB.
+MAX_SCENE_SIZE = 4096
+
 MANIFEST_NAME = "manifest.json"
 DATASET_FORMAT = "grasp-dataset-v1"
 
@@ -62,6 +65,8 @@ class SceneConfig:
             )
         if self.size < 16:
             raise ConfigError(f"scene size {self.size} is too small to place shapes")
+        if self.size > MAX_SCENE_SIZE:
+            raise ConfigError(f"scene size {self.size} exceeds the ceiling {MAX_SCENE_SIZE}")
         if not self.shapes:
             raise ConfigError("empty shape mixture")
         unknown = set(self.shapes) - set(SHAPE_CLASSES)
@@ -87,12 +92,15 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class SceneInstance:
-    """One object of one scene, with its ground-truth masks."""
+    """One object of one scene, with its ground-truth masks.
+
+    Only the visible and amodal masks are stored; the occluded mask is
+    derived from them on each read.
+    """
 
     image: np.ndarray  # float64 (size, size), values k/255
     visible: BinaryMask
     amodal: BinaryMask
-    occluded: BinaryMask
     occ_ratio: float
     shape_class: str
     seed: int
@@ -103,20 +111,23 @@ class SceneInstance:
                 f"image {self.image.shape} and amodal {self.amodal.shape} disagree"
             )
 
+    @property
+    def occluded(self) -> BinaryMask:
+        """The amodal mask minus the visible one, computed anew on each read."""
+        return mask_diff(self.amodal, self.visible)
+
 
 def make_instance(image, visible, amodal, shape_class, seed) -> SceneInstance:
-    """Derive the occluded mask and ratio, enforcing visible within amodal."""
+    """Derive the occlusion ratio, enforcing visible within amodal."""
     if (visible.a & ~amodal.a).any():
         raise IntegrityError("visible mask leaks outside the amodal mask")
     if not amodal.any():
         raise IntegrityError("amodal mask is empty")
-    occluded = mask_diff(amodal, visible)
-    occ_ratio = occluded.count() / amodal.count()
+    occ_ratio = mask_diff(amodal, visible).count() / amodal.count()
     return SceneInstance(
         image=image,
         visible=visible,
         amodal=amodal,
-        occluded=occluded,
         occ_ratio=occ_ratio,
         shape_class=shape_class,
         seed=int(seed),
@@ -428,6 +439,8 @@ def read_dataset(data_dir) -> tuple[DatasetManifest, list[SceneInstance]]:
     if raw.get("format") != DATASET_FORMAT:
         raise DatasetIOError(f"{manifest_path}: unknown format {raw.get('format')!r}")
     check_fields(raw, _MANIFEST_FIELDS, f"{manifest_path}: manifest", DatasetIOError)
+    if raw["count"] < 1:
+        raise DatasetIOError(f"{manifest_path}: empty dataset (count {raw['count']})")
     h, w = raw["height"], raw["width"]
     instances = []
     for i, entry in enumerate(raw["instances"]):

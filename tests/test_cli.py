@@ -561,3 +561,41 @@ def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
         assert len(lines) == 1 and lines[0].startswith(f"error:{kind}:"), (argv, out.err)
     for made in ("rep", "t.ckpt", "gen", "sdf"):
         assert not (tmp_path / made).exists(), made
+
+
+def test_empty_dataset_ends_in_one_error_line(tmp_path, capsys):
+    data = _gen(tmp_path, "data", n=2, config=_write_config(tmp_path))
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest.update(count=0, instances=[])
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0))
+    capsys.readouterr()
+    for command in ("eval", "probe"):
+        out = tmp_path / command
+        assert main([command, "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:DatasetIOError:"), lines
+        assert "empty dataset" in lines[0]
+        assert not out.exists()
+
+
+def test_memory_error_ends_in_one_error_line(tmp_path, capsys):
+    # dim 10**7 asks for a 5.68 PiB parameter buffer, beyond any address space,
+    # so the allocation fails at once
+    data = _gen(tmp_path, "data", n=2, config=_write_config(tmp_path))
+    cfg = _write_config(tmp_path, {"model": {"dim": 10_000_000, "heads": 1}})
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                 "--config", cfg]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:MemoryError:"), lines
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_gen_size_above_the_ceiling_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert main(["gen", "--out", str(out), "--n", "1", "--size", "10000000"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:ConfigError:"), lines
+    assert not out.exists()

@@ -4,6 +4,7 @@ and report serialization."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,13 @@ from grasp.geometry import BinaryMask, iou, mask_diff
 from grasp.model import GraspConfig, GraspModel
 from grasp.probe import probe_report
 from grasp.seeding import derive_seed
-from grasp.synthdata import SceneConfig, generate_scene, make_instance, perturb_vm
+from grasp.synthdata import (
+    SceneConfig,
+    generate_dataset,
+    generate_scene,
+    make_instance,
+    perturb_vm,
+)
 from grasp.tensor import Tensor
 
 SMALL = GraspConfig(image_size=16, patch=8, dim=8, heads=2, n_prototypes=4,
@@ -508,6 +515,30 @@ def test_evaluate_collects_gate_stats_for_models():
     assert report.gate_stats is not None
     assert report.attention_stats is not None
     assert sum(b["n"] for b in report.gate_stats["by_occ_bin"]) <= report.n_instances
+
+
+@pytest.mark.parametrize("stats_run", [
+    lambda model, insts: evaluate(model, insts, "oracle", collect_stats=True),
+    mechanism_stats,
+], ids=["evaluate", "mechanism_stats"])
+def test_stats_keep_no_per_instance_arrays(stats_run):
+    """Each instance is reduced to scalars as it finishes: one default
+    instance's prototype attention alone is 64 KiB, so keeping it would
+    grow the peak by that much per instance."""
+    model = GraspModel(GraspConfig(), seed=0)
+    insts = generate_dataset(32, 0)
+    stats_run(model, insts[:8])  # warm-up: lazily built model state is not per instance
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            stats_run(model, insts[:n])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_instance = (peak(32) - peak(8)) / 24
+    assert per_instance < 8 * 1024, f"peak grows {per_instance:.0f} B per instance"
 
 
 # -- attention statistics -----------------------------------------------------

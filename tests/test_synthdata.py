@@ -1,5 +1,6 @@
 """Scene generator invariants, mask perturbation, dataset round trips."""
 
+import dataclasses
 import json
 import math
 
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 
 from grasp.errors import ConfigError, DatasetIOError, DimensionError, IntegrityError
-from grasp.geometry import BinaryMask, iou, mask_union
+from grasp.geometry import BinaryMask, iou, mask_diff, mask_union
 from grasp.synthdata import (
+    MAX_SCENE_SIZE,
     OCC_BINS,
     SHAPE_CLASSES,
     SceneConfig,
+    SceneInstance,
     _dilate,
     _disc_offsets,
     _erode,
@@ -165,6 +168,18 @@ def test_scene_config_rejects_non_finite_and_out_of_range_floats(field, value):
 def test_scene_config_accepts_range_edges():
     SceneConfig(background=0.0, noise_sigma=0.0, overlap_bias=0.0)
     SceneConfig(background=1.0, overlap_bias=1.0)
+
+
+def test_scene_size_has_a_ceiling():
+    assert SceneConfig(size=MAX_SCENE_SIZE).size == MAX_SCENE_SIZE  # constructs; nothing rendered
+    with pytest.raises(ConfigError, match="ceiling"):
+        SceneConfig(size=MAX_SCENE_SIZE + 1)
+
+
+def test_occluded_mask_is_derived_not_stored():
+    assert "occluded" not in {f.name for f in dataclasses.fields(SceneInstance)}
+    inst = next(i for i in generate_scene(3) if i.occluded.any())
+    assert inst.occluded == mask_diff(inst.amodal, inst.visible)
 
 
 def test_scene_config_dict_round_trip():
