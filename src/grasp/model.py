@@ -53,6 +53,11 @@ from .tensor import AttentionParams, Tensor
 
 CHECKPOINT_FORMAT = "grasp-ckpt-v1"
 
+# Most parameters a layout may hold: one float64 buffer of them is 128 MiB,
+# and training keeps six such buffers (values, gradients, two AdamW moments
+# and two scratch arrays).
+MAX_PARAMETERS = 2**24
+
 
 @dataclass(frozen=True)
 class GraspConfig:
@@ -80,6 +85,15 @@ class GraspConfig:
         if self.vm_hidden < 1 or self.decoder_hidden < 1:
             raise ConfigError("hidden widths must be positive")
         _check_gate_override(self.gate_override)
+        # every width is at least one row's size, so checking the widths first
+        # keeps numbers past any array size out of the layout
+        widths = (self.patch_dim, self.dim, self.n_prototypes, self.vm_hidden,
+                  self.decoder_hidden)
+        if (max(widths) > MAX_PARAMETERS
+                or sum(row.size for row in param_layout(self)) > MAX_PARAMETERS):
+            raise ConfigError(f"a layout of widths (patch_dim, dim, n_prototypes, vm_hidden, "
+                              f"decoder_hidden) = {widths} exceeds the ceiling of "
+                              f"{MAX_PARAMETERS} parameters")
 
     @property
     def grid(self) -> int:

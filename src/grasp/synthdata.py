@@ -8,6 +8,12 @@ mask is their difference, derived on each read rather than stored.
 Nearer objects are rendered brighter, so pixel intensity carries a
 depth cue the way shading does in the curated crops this stands in for.
 
+A scene's image is quantized to 256 gray levels, so it is kept as the
+8-bit pixels it is, one read-only array that every instance of the
+scene shares, and written to and read from PGM as those bytes.  The
+float64 image the model reads, ``pixels / 255.0``, is derived on each
+read.
+
 Every scene is a pure function of its seed.  Scene i of a dataset uses
 seed base_seed + i, and placement is biased so that heavily occluded
 instances are common enough for every occlusion-ratio band to be
@@ -94,11 +100,13 @@ class SceneConfig:
 class SceneInstance:
     """One object of one scene, with its ground-truth masks.
 
-    Only the visible and amodal masks are stored; the occluded mask is
+    The scene's image is stored as its read-only uint8 ``pixels``, which
+    all instances of one scene share, and only the visible and amodal
+    masks are stored.  The float64 image and the occluded mask are
     derived from them on each read.
     """
 
-    image: np.ndarray  # float64 (size, size), values k/255
+    pixels: np.ndarray  # read-only uint8 (size, size)
     visible: BinaryMask
     amodal: BinaryMask
     occ_ratio: float
@@ -106,10 +114,17 @@ class SceneInstance:
     seed: int
 
     def __post_init__(self):
-        if self.image.shape != self.amodal.shape:
+        if self.pixels.shape != self.amodal.shape:
             raise DimensionError(
-                f"image {self.image.shape} and amodal {self.amodal.shape} disagree"
+                f"image {self.pixels.shape} and amodal {self.amodal.shape} disagree"
             )
+
+    @property
+    def image(self) -> np.ndarray:
+        """The read-only float64 image ``pixels / 255.0``, computed anew on each read."""
+        image = self.pixels / 255.0
+        image.flags.writeable = False
+        return image
 
     @property
     def occluded(self) -> BinaryMask:
@@ -118,14 +133,33 @@ class SceneInstance:
 
 
 def make_instance(image, visible, amodal, shape_class, seed) -> SceneInstance:
-    """Derive the occlusion ratio, enforcing visible within amodal."""
+    """Derive the occlusion ratio, enforcing visible within amodal.
+
+    uint8 ``image`` pixels are taken as they are, not copied.  A float
+    image is quantized once, and it must lie in [0, 1] on the k/255
+    lattice, so that ``pixels / 255.0`` gives it back bit for bit.
+    """
+    image = np.asarray(image)
+    if image.dtype == np.uint8:
+        pixels = image
+    elif image.dtype.kind == "f":
+        if not ((image >= 0.0) & (image <= 1.0)).all():  # NaN fails too
+            raise IntegrityError("image values leave [0, 1]")
+        pixels = np.rint(image * 255.0).astype(np.uint8)
+        if not np.array_equal(pixels / 255.0, image):
+            raise IntegrityError("image values are not on the k/255 lattice")
+    else:
+        raise IntegrityError(f"image dtype {image.dtype} is neither uint8 nor float")
+    if pixels.flags.writeable:
+        pixels = pixels.view()
+        pixels.flags.writeable = False
     if (visible.a & ~amodal.a).any():
         raise IntegrityError("visible mask leaks outside the amodal mask")
     if not amodal.any():
         raise IntegrityError("amodal mask is empty")
     occ_ratio = mask_diff(amodal, visible).count() / amodal.count()
     return SceneInstance(
-        image=image,
+        pixels=pixels,
         visible=visible,
         amodal=amodal,
         occ_ratio=occ_ratio,
@@ -205,6 +239,8 @@ def _recenter(mask: np.ndarray, cy: float, cx: float) -> np.ndarray:
 
 def generate_scene(seed: int, config: SceneConfig | None = None) -> list[SceneInstance]:
     """Render one scene; returns one instance per object, placement order."""
+    if seed < 0:
+        raise ConfigError(f"scene seed {seed} must be >= 0")
     config = config or SceneConfig()
     rng = np.random.default_rng(seed)
     size = config.size
@@ -239,14 +275,14 @@ def generate_scene(seed: int, config: SceneConfig | None = None) -> list[SceneIn
             covered_by_nearer[earlier] |= silhouettes[idx]
 
     image = np.clip(image + rng.normal(0.0, config.noise_sigma, (size, size)), 0.0, 1.0)
-    image = np.rint(image * 255.0) / 255.0
-    image.flags.writeable = False
+    pixels = np.rint(image * 255.0).astype(np.uint8)
+    pixels.flags.writeable = False
 
     instances = []
     for i in range(k):
         amodal = BinaryMask(silhouettes[i])
         visible = BinaryMask(silhouettes[i] & ~covered_by_nearer[i])
-        instances.append(make_instance(image, visible, amodal, kinds[i], seed))
+        instances.append(make_instance(pixels, visible, amodal, kinds[i], seed))
     return instances
 
 
@@ -389,13 +425,13 @@ def write_dataset(
     if not instances:
         raise ConfigError("refusing to write an empty dataset")
     os.makedirs(out_dir, exist_ok=True)
-    h, w = instances[0].image.shape
+    h, w = instances[0].pixels.shape
     entries = []
     for i, inst in enumerate(instances):
-        if inst.image.shape != (h, w):
-            raise DimensionError(f"instance {i} shape {inst.image.shape} != dataset {h}x{w}")
+        if inst.pixels.shape != (h, w):
+            raise DimensionError(f"instance {i} shape {inst.pixels.shape} != dataset {h}x{w}")
         img_name, vis_name, amo_name = _names(i)
-        pgm.write_pgm(os.path.join(out_dir, img_name), np.rint(inst.image * 255.0).astype(np.uint8))
+        pgm.write_pgm(os.path.join(out_dir, img_name), inst.pixels)
         write_mask(os.path.join(out_dir, vis_name), inst.visible)
         write_mask(os.path.join(out_dir, amo_name), inst.amodal)
         entries.append(
@@ -441,23 +477,28 @@ def read_dataset(data_dir) -> tuple[DatasetManifest, list[SceneInstance]]:
     check_fields(raw, _MANIFEST_FIELDS, f"{manifest_path}: manifest", DatasetIOError)
     if raw["count"] < 1:
         raise DatasetIOError(f"{manifest_path}: empty dataset (count {raw['count']})")
+    if raw["base_seed"] < 0:
+        raise DatasetIOError(f"{manifest_path}: base_seed {raw['base_seed']} is negative")
     h, w = raw["height"], raw["width"]
     instances = []
     for i, entry in enumerate(raw["instances"]):
-        check_fields(entry, _ENTRY_FIELDS, f"{manifest_path}: instance entry {i}", DatasetIOError)
-        image_u8 = pgm.read_pgm(os.path.join(data_dir, entry["image"]))
+        what = f"{manifest_path}: instance entry {i}"
+        check_fields(entry, _ENTRY_FIELDS, what, DatasetIOError)
+        if entry["id"] != i:
+            raise IntegrityError(f"{what} has id {entry['id']}")
+        if entry["seed"] < 0:
+            raise DatasetIOError(f"{what}: seed {entry['seed']} is negative")
+        pixels = pgm.read_pgm(os.path.join(data_dir, entry["image"]))
         visible = read_mask(os.path.join(data_dir, entry["visible"]))
         amodal = read_mask(os.path.join(data_dir, entry["amodal"]))
         for name, got in (
-            (entry["image"], image_u8.shape),
+            (entry["image"], pixels.shape),
             (entry["visible"], visible.shape),
             (entry["amodal"], amodal.shape),
         ):
             if got != (h, w):
                 raise IntegrityError(f"{name}: shape {got} contradicts manifest {h}x{w}")
-        image = image_u8.astype(np.float64) / 255.0
-        image.flags.writeable = False
-        inst = make_instance(image, visible, amodal, entry["shape_class"], entry["seed"])
+        inst = make_instance(pixels, visible, amodal, entry["shape_class"], entry["seed"])
         if not abs(inst.occ_ratio - entry["occ_ratio"]) <= 1e-9:  # NaN fails too
             raise IntegrityError(
                 f"instance {entry['id']}: stored occ_ratio {entry['occ_ratio']} "

@@ -513,7 +513,7 @@ def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
     del manifest["instances"][1]["seed"]
     (no_seed_data / "manifest.json").write_text(json.dumps(manifest))
 
-    huge = GraspConfig(image_size=2**20, patch=2**20)
+    huge = GraspConfig(dim=1024, heads=1)  # a 67 MiB body the file does not hold
     _rewrite_checkpoint(ckpt, tmp_path / "huge.ckpt", fix_header=lambda h: h.update(
         config=huge.to_dict(),
         params=[{"group": r.group, "name": r.name, "shape": list(r.shape), "bytes": 8 * r.size}
@@ -581,16 +581,37 @@ def test_empty_dataset_ends_in_one_error_line(tmp_path, capsys):
 
 
 def test_memory_error_ends_in_one_error_line(tmp_path, capsys):
-    # dim 10**7 asks for a 5.68 PiB parameter buffer, beyond any address space,
-    # so the allocation fails at once
-    data = _gen(tmp_path, "data", n=2, config=_write_config(tmp_path))
-    cfg = _write_config(tmp_path, {"model": {"dim": 10_000_000, "heads": 1}})
+    # a batch of 10**15 draws asks for a 7.1 PiB index array, beyond any
+    # address space, so the allocation fails at once
+    cfg = _write_config(tmp_path)
+    data = _gen(tmp_path, "data", n=2, config=cfg)
     capsys.readouterr()
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
-                 "--config", cfg]) == 1
+                 "--config", cfg, "--batch", str(10**15)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:MemoryError:"), lines
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_model_past_the_parameter_ceiling_is_a_config_error(tmp_path, capsys):
+    data = _gen(tmp_path, "data", n=2, config=_write_config(tmp_path))
+    capsys.readouterr()
+    for model in ({"dim": 100_000_000_000, "heads": 1}, {"dim": 10_000_000, "heads": 1},
+                  {"n_prototypes": 10**12}):
+        cfg = _write_config(tmp_path, {"model": model})
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                     "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:ConfigError:"), (model, lines)
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_negative_gen_seed_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert main(["gen", "--out", str(out), "--n", "2", "--seed", "-1"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:ConfigError:"), lines
+    assert not out.exists()
 
 
 def test_gen_size_above_the_ceiling_is_a_config_error(tmp_path, capsys):

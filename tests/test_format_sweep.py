@@ -1,0 +1,113 @@
+"""A bounded sweep of the dataset format: every manifest field, every
+instance-entry field and every PGM header token is set, one at a time,
+to each value of a fixed set, and ``grasp train`` reads the result.
+
+Each case must exit 0, or exit 1 with exactly one ``error:<Kind>:``
+line on stderr.  Any other exception propagates and fails the test,
+and a numpy warning is raised as an error, so a silent accept of
+corrupt data fails it too.
+"""
+
+import json
+import math
+import re
+import warnings
+
+from grasp.cli import main
+
+SCENE = {"size": 16, "min_objects": 2, "max_objects": 2}
+MODEL = {"image_size": 16, "patch": 8, "dim": 8, "heads": 2, "n_prototypes": 4,
+         "vm_hidden": 4, "decoder_hidden": 8}
+
+MISSING = object()
+HUGE = 10**30
+LABELS = ("missing", "wrong-type", "0", "-1", "nan", "inf", "-inf", "huge")
+# the wrong type, None here, is filled in per field
+JSON_VALUES = dict(zip(LABELS, (MISSING, None, 0, -1, math.nan, math.inf, -math.inf, HUGE)))
+PGM_TOKENS = dict(zip(LABELS, (MISSING, b"x", b"0", b"-1", b"nan", b"inf", b"-inf",
+                               str(HUGE).encode())))
+ONE_ERROR_LINE = re.compile(r"error:(\w+):")
+
+# the only mutations that leave a valid dataset: a seed may be any integer >= 0
+ACCEPTED = {"manifest.base_seed=0", "manifest.base_seed=huge",
+            "instances[1].seed=0", "instances[1].seed=huge"}
+# how many of the other cases end in each kind of error line
+ERROR_KINDS = {"DatasetIOError": 199, "IntegrityError": 13}
+
+
+def _wrong_type(original):
+    return 7 if isinstance(original, str) else "x"
+
+
+def _mutated(record: dict, key, value) -> dict:
+    out = dict(record)
+    if value is MISSING:
+        out.pop(key, None)
+    else:
+        out[key] = _wrong_type(record[key]) if value is None else value
+    return out
+
+
+def _pgm_with(raw: bytes, index: int, token) -> bytes:
+    """``raw`` with its ``index``-th header token replaced, or dropped for MISSING."""
+    tokens = raw.split(maxsplit=4)
+    header, payload = tokens[:4], raw[len(b" ".join(tokens[:4])) + 1:]
+    if token is MISSING:
+        del header[index]
+    else:
+        header[index] = token
+    return b" ".join(header) + b"\n" + payload
+
+
+def _cases(data):
+    manifest = json.loads((data / "manifest.json").read_text())
+    for key in manifest:
+        for label, value in JSON_VALUES.items():
+            yield (f"manifest.{key}={label}", data / "manifest.json",
+                   json.dumps(_mutated(manifest, key, value)).encode())
+    entries = manifest["instances"]
+    for key in entries[1]:
+        for label, value in JSON_VALUES.items():
+            mutated = {**manifest, "instances": [entries[0], _mutated(entries[1], key, value)]}
+            yield (f"instances[1].{key}={label}", data / "manifest.json",
+                   json.dumps(mutated).encode())
+    for field in ("image", "visible", "amodal"):
+        path = data / entries[0][field]
+        raw = path.read_bytes()
+        for index in range(4):
+            for label, token in PGM_TOKENS.items():
+                yield f"{path.name}[{index}]={label}", path, _pgm_with(raw, index, token)
+
+
+def test_every_dataset_field_mutation_ends_in_exit_0_or_one_error_line(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scene": SCENE, "model": MODEL}))
+    data = tmp_path / "data"
+    assert main(["gen", "--out", str(data), "--n", "2", "--seed", "0",
+                 "--config", str(config)]) == 0
+    argv = ["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+            "--config", str(config), "--steps", "1", "--batch", "1"]
+    capsys.readouterr()
+    assert main(argv) == 0, "the unmutated dataset must train"
+
+    accepted, kinds = set(), {}
+    for name, path, content in _cases(data):
+        original = path.read_bytes()
+        path.write_bytes(content)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+        finally:
+            path.write_bytes(original)
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        if code == 1:
+            match = ONE_ERROR_LINE.match(lines[0]) if len(lines) == 1 else None
+            assert match, (name, err)
+            kinds[match[1]] = kinds.get(match[1], 0) + 1
+        else:
+            assert code == 0 and not err, (name, code, err)
+            accepted.add(name)
+    assert accepted == ACCEPTED
+    assert kinds == ERROR_KINDS

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from grasp.geometry import BinaryMask
 from grasp.model import (
     GraspConfig,
     GraspModel,
+    MAX_PARAMETERS,
     N_FROZEN_BLOCKS,
     load_checkpoint,
     param_layout,
@@ -50,6 +52,31 @@ def test_config_validation():
         GraspConfig(n_prototypes=0)
     with pytest.raises(ConfigError):
         GraspConfig(vm_hidden=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"dim": 100_000_000_000, "heads": 1},
+    {"dim": 10_000_000, "heads": 1},
+    {"n_prototypes": 10**12},
+    {"n_prototypes": MAX_PARAMETERS // 64},  # the bank alone fills the ceiling
+    {"image_size": 2**40, "patch": 2**40},  # patch_dim past any array size
+    {"image_size": 4096, "patch": 4096},  # patch_dim at the ceiling; a frozen block past it
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_layout_past_the_parameter_ceiling_is_rejected_before_allocating(kwargs):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="ceiling"):
+            GraspConfig(**kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_layouts_within_the_parameter_ceiling_construct():
+    assert sum(row.size for row in param_layout(GraspConfig())) == 103_427
+    big = GraspConfig(dim=1024, heads=1)
+    assert sum(row.size for row in param_layout(big)) <= MAX_PARAMETERS
 
 
 def test_config_derived_quantities():
@@ -752,8 +779,8 @@ def test_checkpoint_body_size_is_checked_before_allocating(ckpt, monkeypatch):
     p, d = ckpt
 
     def fix(header, body):
-        # a valid config whose entries match it, with a body far too large to allocate
-        cfg = GraspConfig(image_size=2**20, patch=2**20)
+        # a valid config whose entries match it, with a body far larger than the file
+        cfg = GraspConfig(dim=1024, heads=1)
         header["config"] = cfg.to_dict()
         header["params"] = [{"group": r.group, "name": r.name, "shape": list(r.shape),
                              "bytes": 8 * r.size} for r in param_layout(cfg)]

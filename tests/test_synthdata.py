@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,7 +58,30 @@ def test_scene_instances_share_one_image():
     insts = generate_scene(7)
     assert len(insts) >= 2
     for inst in insts[1:]:
-        assert inst.image is insts[0].image
+        assert inst.pixels is insts[0].pixels
+
+
+def test_image_is_derived_from_the_read_only_pixels():
+    assert "image" not in {f.name for f in dataclasses.fields(SceneInstance)}
+    inst = generate_scene(5)[0]
+    assert inst.pixels.dtype == np.uint8 and not inst.pixels.flags.writeable
+    img = inst.image
+    assert img.dtype == np.float64 and not img.flags.writeable
+    assert img.tobytes() == (inst.pixels / 255.0).tobytes()
+    assert inst.image is not img  # computed anew, not cached
+
+
+def test_generated_instances_keep_under_12_kib_each():
+    # two 64x64 bool masks are 8 KiB; a float64 image per scene would add ~10 more
+    generate_scene(0)  # the first scene imports modules numpy loads lazily
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        insts = generate_dataset(128, 0)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / len(insts) < 12 * 1024, kept / len(insts)
 
 
 def test_scene_object_count_respects_config():
@@ -112,7 +136,41 @@ def test_make_instance_rejects_empty_amodal():
         make_instance(img, empty, empty, "rectangle", 0)
 
 
+def _image_with(value, dtype=np.float64):
+    img = np.zeros((4, 4), dtype=dtype)
+    img[1, 2] = value
+    return img
+
+
+@pytest.mark.parametrize("image,match", [
+    (_image_with(0.5), "lattice"), (_image_with(-1.0 / 255.0), r"\[0, 1\]"),
+    (_image_with(256.0 / 255.0), r"\[0, 1\]"), (_image_with(math.nan), r"\[0, 1\]"),
+    (_image_with(math.inf), r"\[0, 1\]"), (_image_with(3, np.int64), "dtype"),
+], ids=["off-lattice", "below-0", "above-1", "nan", "inf", "int64"])
+def test_make_instance_rejects_off_lattice_and_out_of_range_images(image, match):
+    amodal = BinaryMask(np.eye(4, dtype=bool))
+    with pytest.raises(IntegrityError, match=match):
+        make_instance(image, amodal, amodal, "rectangle", 0)
+
+
+def test_make_instance_takes_pixels_as_they_are_and_quantizes_a_lattice_image():
+    amodal = BinaryMask(np.eye(4, dtype=bool))
+    pixels = np.arange(16, dtype=np.uint8).reshape(4, 4) * 17
+    inst = make_instance(pixels, amodal, amodal, "rectangle", 0)
+    assert np.shares_memory(inst.pixels, pixels) and not inst.pixels.flags.writeable
+    assert pixels.flags.writeable  # the caller's array is left as it was
+    again = make_instance(pixels / 255.0, amodal, amodal, "rectangle", 0)
+    assert again.pixels.dtype == np.uint8 and np.array_equal(again.pixels, pixels)
+
+
 # -- dataset-level statistics ------------------------------------------------
+
+
+def test_negative_seeds_are_config_errors():
+    with pytest.raises(ConfigError, match="seed"):
+        generate_scene(-1)
+    with pytest.raises(ConfigError, match="seed"):
+        generate_dataset(4, -3)
 
 
 def test_generate_dataset_count_and_truncation():
@@ -342,6 +400,8 @@ def test_dataset_round_trip_is_bit_exact(tmp_path):
     assert back_manifest.base_seed == 3
     assert len(back) == 12
     for a, b in zip(insts, back):
+        assert b.pixels.dtype == np.uint8 and not b.pixels.flags.writeable
+        assert np.array_equal(a.pixels, b.pixels), "pixels changed"
         assert np.array_equal(a.image, b.image), "image bits changed"
         assert a.visible == b.visible
         assert a.amodal == b.amodal
