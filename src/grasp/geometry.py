@@ -1,5 +1,9 @@
 """Binary masks, exact signed distance fields, pooling, and IoU.
 
+A mask is stored as packed bits, one bit per pixel.  Counting, union,
+difference, equality and IoU work on the packed bytes; the bool raster
+that the distance transform and the model read is unpacked on demand.
+
 Distances are measured between pixel centers.  The distance transform
 is exact Euclidean and only computed over a window: the bounding box of
 the false pixels grown by one pixel, since everything outside it is a
@@ -36,16 +40,35 @@ _BLOCK_ELEMENTS = 2**16  # elements in one broadcast-min block (256 KiB as int32
 
 
 class BinaryMask:
-    """An immutable 2-d boolean raster."""
+    """An immutable 2-d boolean raster, stored as packed bits.
 
-    __slots__ = ("a",)
+    ``bits`` is ``np.packbits`` of the raster in row-major order, one bit
+    per pixel (read-only ``uint8``); the padding bits of its last byte
+    are always zero.  ``a`` is derived from ``bits`` on each read, so a
+    caller that needs the raster reads it once.  The algebra below
+    (``count``, ``any``, ``all``, ``==``, ``hash``, ``mask_union``,
+    ``mask_diff`` and ``iou``) runs on the bits without unpacking them.
+    """
+
+    __slots__ = ("bits", "shape")
 
     def __init__(self, values):
-        arr = np.array(values, dtype=bool)
+        arr = np.asarray(values, dtype=bool)
         if arr.ndim != 2:
             raise DimensionError(f"mask must be 2-d, got shape {arr.shape}")
-        arr.flags.writeable = False
-        self.a = arr
+        self._set(np.packbits(arr, axis=None), arr.shape)
+
+    def _set(self, bits: np.ndarray, shape: tuple[int, int]) -> None:
+        bits.flags.writeable = False
+        self.bits = bits
+        self.shape = shape
+
+    @classmethod
+    def _from_bits(cls, bits: np.ndarray, shape: tuple[int, int]) -> "BinaryMask":
+        """A mask over packed ``bits`` whose padding is already zero; nothing is copied."""
+        mask = object.__new__(cls)
+        mask._set(bits, shape)
+        return mask
 
     @classmethod
     def zeros(cls, h: int, w: int) -> "BinaryMask":
@@ -56,36 +79,44 @@ class BinaryMask:
         return cls(np.ones((h, w), dtype=bool))
 
     @property
+    def a(self) -> np.ndarray:
+        """The raster as a fresh read-only bool array, unpacked on each read."""
+        h, w = self.shape
+        arr = np.unpackbits(self.bits, count=h * w).view(bool).reshape(h, w)
+        arr.flags.writeable = False
+        return arr
+
+    @property
     def h(self) -> int:
-        return self.a.shape[0]
+        return self.shape[0]
 
     @property
     def w(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def shape(self):
-        return self.a.shape
+        return self.shape[1]
 
     def count(self) -> int:
-        return int(self.a.sum())
+        return _popcount(self.bits)
 
     def any(self) -> bool:
-        return bool(self.a.any())
+        return bool(self.bits.any())
 
     def all(self) -> bool:
-        return bool(self.a.all())
+        return self.count() == self.shape[0] * self.shape[1]
 
     def __eq__(self, other):
-        return isinstance(other, BinaryMask) and self.a.shape == other.a.shape and bool(
-            (self.a == other.a).all()
-        )
+        return (isinstance(other, BinaryMask) and self.shape == other.shape
+                and self.bits.tobytes() == other.bits.tobytes())
 
     def __hash__(self):
-        return hash((self.a.shape, self.a.tobytes()))
+        return hash((self.shape, self.bits.tobytes()))
 
     def __repr__(self):
         return f"BinaryMask({self.h}x{self.w}, {self.count()} true)"
+
+
+def _popcount(bits: np.ndarray) -> int:
+    """Set bits in a packed ``uint8`` array."""
+    return int.from_bytes(bits.tobytes(), "little").bit_count()
 
 
 def _check_same_shape(a: BinaryMask, b: BinaryMask):
@@ -95,21 +126,21 @@ def _check_same_shape(a: BinaryMask, b: BinaryMask):
 
 def mask_union(a: BinaryMask, b: BinaryMask) -> BinaryMask:
     _check_same_shape(a, b)
-    return BinaryMask(a.a | b.a)
+    return BinaryMask._from_bits(a.bits | b.bits, a.shape)
 
 
 def mask_diff(a: BinaryMask, b: BinaryMask) -> BinaryMask:
     _check_same_shape(a, b)
-    return BinaryMask(a.a & ~b.a)
+    return BinaryMask._from_bits(a.bits & ~b.bits, a.shape)
 
 
 def iou(a: BinaryMask, b: BinaryMask) -> float:
     """Intersection over union.  Both empty -> 1.0, exactly one empty -> 0.0."""
     _check_same_shape(a, b)
-    union = int((a.a | b.a).sum())
+    union = _popcount(a.bits | b.bits)
     if union == 0:
         return 1.0
-    return int((a.a & b.a).sum()) / union
+    return _popcount(a.bits & b.bits) / union
 
 
 # -- exact Euclidean distance transform ----------------------------------
@@ -132,8 +163,11 @@ def _column_sq(feature: np.ndarray, dtype) -> np.ndarray:
     return d * d
 
 
-def edt_sq(mask: BinaryMask) -> np.ndarray:
+def edt_sq(mask: BinaryMask | np.ndarray) -> np.ndarray:
     """Exact squared Euclidean distance to the nearest true pixel (int64).
+
+    ``mask`` is a BinaryMask or a 2-d bool raster; a raster is read as it
+    is, so a caller that holds one (as ``sdf`` does) unpacks nothing.
 
     Only a window can hold a nonzero answer: the bounding box of the
     false pixels, grown by one row and one column on each side that has
@@ -157,18 +191,19 @@ def edt_sq(mask: BinaryMask) -> np.ndarray:
     the squared image diagonal by convention.  An all-true mask is 0
     everywhere.
     """
-    h, w = mask.shape
-    if not mask.any():
+    arr = mask.a if isinstance(mask, BinaryMask) else mask
+    h, w = arr.shape
+    if not arr.any():
         return np.full((h, w), np.int64(h * h + w * w))
     out = np.zeros((h, w), dtype=np.int64)
-    false = ~mask.a
+    false = ~arr
     rows = np.flatnonzero(false.any(axis=1))
     if rows.size == 0:
         return out
     cols = np.flatnonzero(false.any(axis=0))
     y0, y1 = max(rows[0] - 1, 0), min(rows[-1] + 2, h)
     x0, x1 = max(cols[0] - 1, 0), min(cols[-1] + 2, w)
-    window = mask.a[y0:y1, x0:x1]
+    window = arr[y0:y1, x0:x1]
     found = np.flatnonzero(window.any(axis=0))  # window columns holding a true pixel
     dtype = np.int32 if (h - 1) ** 2 + (w - 1) ** 2 < 2**31 else np.int64
     # (columns, rows), contiguous: the broadcast below reads it ~20% faster than a view
@@ -214,8 +249,9 @@ def sdf(mask: BinaryMask) -> SdfField:
     """
     h, w = mask.shape
     diagonal = math.sqrt(h * h + w * w)
-    d = np.sqrt((edt_sq(mask) + edt_sq(BinaryMask(~mask.a))).astype(np.float64))
-    values = np.where(mask.a, -d, d)
+    arr = mask.a
+    d = np.sqrt((edt_sq(arr) + edt_sq(~arr)).astype(np.float64))
+    values = np.where(arr, -d, d)
     values.flags.writeable = False
     normalized = values / diagonal
     normalized.flags.writeable = False
@@ -240,7 +276,7 @@ def pool_to_grid(field: SdfField, grid_h: int, grid_w: int) -> np.ndarray:
 
 
 def write_mask(path, mask: BinaryMask) -> None:
-    pgm.write_pgm(path, np.where(mask.a, 255, 0).astype(np.uint8))
+    pgm.write_pgm(path, mask.a.view(np.uint8) * np.uint8(255))
 
 
 def read_mask(path) -> BinaryMask:

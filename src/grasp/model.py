@@ -39,7 +39,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -49,6 +49,7 @@ from .errors import (ConfigError, DimensionError, IntegrityError, check_fields, 
                      parse_json_object)
 from .geometry import BinaryMask, pool_to_grid, sdf
 from .seeding import derive_seed
+from .synthdata import MAX_SCENE_SIZE
 from .tensor import AttentionParams, Tensor
 
 CHECKPOINT_FORMAT = "grasp-ckpt-v1"
@@ -74,6 +75,10 @@ class GraspConfig:
     def __post_init__(self):
         if self.patch < 1:
             raise ConfigError(f"patch {self.patch} must be positive")
+        # no scene is larger, and per-token arrays are sized by it
+        if self.image_size > MAX_SCENE_SIZE:
+            raise ConfigError(f"image size {self.image_size} exceeds the scene ceiling "
+                              f"{MAX_SCENE_SIZE}")
         if self.image_size < self.patch or self.image_size % self.patch:
             raise ConfigError(
                 f"patch {self.patch} does not divide image size {self.image_size}"
@@ -90,7 +95,7 @@ class GraspConfig:
         widths = (self.patch_dim, self.dim, self.n_prototypes, self.vm_hidden,
                   self.decoder_hidden)
         if (max(widths) > MAX_PARAMETERS
-                or sum(row.size for row in param_layout(self)) > MAX_PARAMETERS):
+                or param_count(self) > MAX_PARAMETERS):
             raise ConfigError(f"a layout of widths (patch_dim, dim, n_prototypes, vm_hidden, "
                               f"decoder_hidden) = {widths} exceeds the ceiling of "
                               f"{MAX_PARAMETERS} parameters")
@@ -218,6 +223,12 @@ def param_layout(config: GraspConfig) -> tuple[ParamRow, ...]:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=32)
+def param_count(config: GraspConfig) -> int:
+    """Scalars in ``param_layout(config)``, frozen rows included: the buffer's length."""
+    return sum(row.size for row in param_layout(config))
+
+
 class GraspParams:
     """All parameter groups, keyed for reporting and serialization.
 
@@ -236,7 +247,7 @@ class GraspParams:
         ends = list(itertools.accumulate(row.size for row in layout))
         n_frozen = sum(row.size for row in layout if not row.trainable)
         if values is None:
-            values = np.zeros(ends[-1])
+            values = np.zeros(param_count(config))
             rngs = {}
             for row, end in zip(layout, ends):
                 if row.tag is not None:
@@ -245,7 +256,7 @@ class GraspParams:
                     values[end - row.size:end] = rngs[row.tag].normal(0.0, row.scale,
                                                                       row.size)
         self.values = values
-        self.grads = np.zeros(ends[-1] - n_frozen)
+        self.grads = np.zeros(param_count(config) - n_frozen)
         self.frozen: dict[str, Tensor] = {}
         self.groups: dict[str, dict[str, Tensor]] = {}
         for row, end in zip(layout, ends):
@@ -495,6 +506,7 @@ def save_checkpoint(path, model: GraspModel, step: int = 0, extra: dict | None =
 
 
 _HEADER_FIELDS = {"config": dict, "seed": int, "step": int, "params": list}
+_CONFIG_FIELDS = frozenset(f.name for f in fields(GraspConfig))
 _ENTRY_FIELDS = {"group": str, "name": str, "shape": list, "bytes": int}
 
 
@@ -509,6 +521,15 @@ def load_checkpoint(path) -> tuple[GraspModel, int]:
         if header.get("format") != CHECKPOINT_FORMAT:
             raise IntegrityError(f"{path}: unknown checkpoint format {header.get('format')!r}")
         check_fields(header, _HEADER_FIELDS, f"{path}: checkpoint header", IntegrityError)
+        for key in ("seed", "step"):
+            if header[key] < 0:
+                raise IntegrityError(f"{path}: checkpoint {key} {header[key]} must be >= 0")
+        if not isinstance(header.get("extra", {}), dict):
+            raise IntegrityError(f"{path}: checkpoint header field 'extra' is not an object")
+        # a missing field would load as its default, a model other than the one saved
+        absent = sorted(_CONFIG_FIELDS - set(header["config"]))
+        if absent:
+            raise IntegrityError(f"{path}: checkpoint config lacks fields {absent}")
         config = GraspConfig.from_dict(header["config"])
         layout = param_layout(config)
         rows = {(row.group, row.name): row for row in layout}
@@ -533,7 +554,7 @@ def load_checkpoint(path) -> tuple[GraspModel, int]:
             if entry["bytes"] != row.size * 8:
                 raise IntegrityError(f"{path}: block size {entry['bytes']} wrong for {key}")
         # the body must fill the rest of the file: checked before anything is allocated
-        nbytes = 8 * sum(row.size for row in layout)
+        nbytes = 8 * param_count(config)
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if left < nbytes:
             raise IntegrityError(f"{path}: truncated parameter body")

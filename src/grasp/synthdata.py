@@ -153,7 +153,7 @@ def make_instance(image, visible, amodal, shape_class, seed) -> SceneInstance:
     if pixels.flags.writeable:
         pixels = pixels.view()
         pixels.flags.writeable = False
-    if (visible.a & ~amodal.a).any():
+    if mask_diff(visible, amodal).any():
         raise IntegrityError("visible mask leaks outside the amodal mask")
     if not amodal.any():
         raise IntegrityError("amodal mask is empty")
@@ -362,9 +362,10 @@ def perturb_vm(mask: BinaryMask, seed: int) -> BinaryMask:
     choice = int(rng.integers(0, 3))
     radius = int(rng.integers(1, 4))
 
-    out = _translate(mask.a, dy, dx)
+    arr = mask.a
+    out = _translate(arr, dy, dx)
     if mask.any() and not out.any():
-        out = mask.a.copy()
+        out = arr
     if choice == 1:
         out = _dilate(out, radius)
     elif choice == 2:

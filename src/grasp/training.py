@@ -104,7 +104,7 @@ def total_loss(trace: ForwardTrace, amodal_gt: BinaryMask, visible_gt: BinaryMas
     bit-equal to composing ``bce_with_logits`` and ``dice_loss`` per head
     as ``amodal + occ_weight * occluded``.
     """
-    if (visible_gt.a & ~amodal_gt.a).any():
+    if mask_diff(visible_gt, amodal_gt).any():
         raise IntegrityError("ground-truth visible mask leaks outside the amodal mask")
     occ_gt = mask_diff(amodal_gt, visible_gt)
     w = float(occ_weight)
@@ -185,11 +185,11 @@ class AdamW:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = np.zeros_like(values)
-        self.v = np.zeros_like(values)
-        # scratch: a parameter-sized temporary costs more than its arithmetic
-        self._update = np.empty_like(values)
-        self._scratch = np.empty_like(values)
+        # the moments and two scratch rows (a parameter-sized temporary costs more
+        # than its arithmetic) are one block: once freed, that block sets glibc
+        # malloc's trim threshold above a whole model, so models built or loaded
+        # after training reuse heap pages instead of faulting fresh ones in
+        self.m, self.v, self._update, self._scratch = np.zeros((4, *values.shape))
 
     def step(self, lr: float) -> None:
         self.t += 1
@@ -251,6 +251,8 @@ def train(model: GraspModel, instances: list[SceneInstance], config: TrainConfig
                     trace, inst.amodal, inst.visible, occ_weight=config.occ_weight
                 )
                 T.mul(loss, 1.0 / config.batch).backward()
+                # free this instance's tape before the next forward builds its own
+                del trace, loss
                 for key in LossBreakdown.FIELDS:
                     sums[key] += getattr(breakdown, key) / config.batch
 

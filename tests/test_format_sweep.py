@@ -1,6 +1,10 @@
-"""A bounded sweep of the dataset format: every manifest field, every
-instance-entry field and every PGM header token is set, one at a time,
-to each value of a fixed set, and ``grasp train`` reads the result.
+"""Bounded sweeps of the on-disk formats.
+
+Dataset: every manifest field, every instance-entry field and every PGM
+header token is set, one at a time, to each value of a fixed set, and
+``grasp train`` reads the result.  Checkpoint: every header field, every
+``config`` key and every field of one ``params`` entry is set the same
+way, and ``grasp stats`` reads the result.
 
 Each case must exit 0, or exit 1 with exactly one ``error:<Kind>:``
 line on stderr.  Any other exception propagates and fails the test,
@@ -33,6 +37,10 @@ ACCEPTED = {"manifest.base_seed=0", "manifest.base_seed=huge",
             "instances[1].seed=0", "instances[1].seed=huge"}
 # how many of the other cases end in each kind of error line
 ERROR_KINDS = {"DatasetIOError": 199, "IntegrityError": 13}
+
+CKPT_ACCEPTED = {"config.gate_override=0", "extra=missing", "seed=0", "seed=huge", "step=0",
+                 "step=huge"}
+CKPT_ERROR_KINDS = {"ConfigError": 62, "IntegrityError": 84}
 
 
 def _wrong_type(original):
@@ -79,19 +87,34 @@ def _cases(data):
                 yield f"{path.name}[{index}]={label}", path, _pgm_with(raw, index, token)
 
 
-def test_every_dataset_field_mutation_ends_in_exit_0_or_one_error_line(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"scene": SCENE, "model": MODEL}))
-    data = tmp_path / "data"
-    assert main(["gen", "--out", str(data), "--n", "2", "--seed", "0",
-                 "--config", str(config)]) == 0
-    argv = ["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
-            "--config", str(config), "--steps", "1", "--batch", "1"]
-    capsys.readouterr()
-    assert main(argv) == 0, "the unmutated dataset must train"
+def _checkpoint_cases(path):
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
 
+    def case(name, mutated):
+        return name, path, json.dumps(mutated, sort_keys=True).encode() + b"\n" + body
+
+    for key in header:
+        for label, value in JSON_VALUES.items():
+            yield case(f"{key}={label}", _mutated(header, key, value))
+    for key in header["config"]:
+        for label, value in JSON_VALUES.items():
+            yield case(f"config.{key}={label}",
+                       {**header, "config": _mutated(header["config"], key, value)})
+    entries = header["params"]
+    for key in entries[1]:
+        for label, value in JSON_VALUES.items():
+            mutated = [entries[0], _mutated(entries[1], key, value), *entries[2:]]
+            yield case(f"params[1].{key}={label}", {**header, "params": mutated})
+
+
+def _sweep(argv, cases, capsys):
+    """Run ``argv`` once per case; the mutations it accepts and its tally of error kinds."""
+    capsys.readouterr()
+    assert main(argv) == 0, "the unmutated files must be read"
+    capsys.readouterr()
     accepted, kinds = set(), {}
-    for name, path, content in _cases(data):
+    for name, path, content in cases:
         original = path.read_bytes()
         path.write_bytes(content)
         try:
@@ -109,5 +132,34 @@ def test_every_dataset_field_mutation_ends_in_exit_0_or_one_error_line(tmp_path,
         else:
             assert code == 0 and not err, (name, code, err)
             accepted.add(name)
+    return accepted, kinds
+
+
+def _gen(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scene": SCENE, "model": MODEL}))
+    data = tmp_path / "data"
+    assert main(["gen", "--out", str(data), "--n", "2", "--seed", "0",
+                 "--config", str(config)]) == 0
+    return config, data
+
+
+def test_every_dataset_field_mutation_ends_in_exit_0_or_one_error_line(tmp_path, capsys):
+    config, data = _gen(tmp_path)
+    argv = ["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+            "--config", str(config), "--steps", "1", "--batch", "1"]
+    accepted, kinds = _sweep(argv, _cases(data), capsys)
     assert accepted == ACCEPTED
     assert kinds == ERROR_KINDS
+
+
+def test_every_checkpoint_header_mutation_ends_in_exit_0_or_one_error_line(tmp_path, capsys):
+    config, data = _gen(tmp_path)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--data", str(data), "--out", str(ckpt), "--config", str(config),
+                 "--steps", "1", "--batch", "1"]) == 0
+    argv = ["stats", "--ckpt", str(ckpt), "--data", str(data),
+            "--out", str(tmp_path / "stats.json")]
+    accepted, kinds = _sweep(argv, _checkpoint_cases(ckpt), capsys)
+    assert accepted == CKPT_ACCEPTED
+    assert kinds == CKPT_ERROR_KINDS

@@ -103,6 +103,48 @@ def test_iou_shrinks_when_overlap_is_removed():
         assert iou(a, BinaryMask(inter)) <= 1.0
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 9), (8, 8)])
+def test_packed_mask_round_trips_and_ignores_its_padding(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for arr in (rng.random(shape) < 0.5, np.zeros(shape, bool), np.ones(shape, bool)):
+        m = BinaryMask(arr)
+        assert m.bits.dtype == np.uint8 and m.bits.size == -(-arr.size // 8)
+        assert m.a.dtype == bool and np.array_equal(m.a, arr) and m.shape == shape
+        assert m.count() == int(arr.sum())
+        assert m.any() == bool(arr.any()) and m.all() == bool(arr.all())
+        # the padding bits of the last byte stay zero, so a complement set
+        # through the algebra still compares and hashes as a fresh mask
+        full = BinaryMask.full(*shape)
+        assert mask_union(m, full) == full and hash(mask_union(m, full)) == hash(full)
+        assert mask_diff(full, m) == BinaryMask(~arr)
+        assert hash(mask_diff(full, m)) == hash(BinaryMask(~arr))
+        assert mask_diff(full, m).count() == arr.size - int(arr.sum())
+
+
+def test_packed_mask_algebra_equals_the_bool_array_formulas():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        shape = tuple(int(n) for n in rng.integers(1, 20, size=2))
+        x = rng.random(shape) < rng.random()
+        y = rng.random(shape) < rng.random()
+        a, b = BinaryMask(x), BinaryMask(y)
+        union, inter = int((x | y).sum()), int((x & y).sum())
+        assert iou(a, b) == (inter / union if union else 1.0)
+        assert np.array_equal(mask_union(a, b).a, x | y)
+        assert np.array_equal(mask_diff(a, b).a, x & ~y)
+        assert a.count() == int(x.sum())
+        assert (a == b) == np.array_equal(x, y)
+
+
+def test_mask_raster_is_read_only_and_fresh_on_each_read():
+    m = BinaryMask(np.eye(3, dtype=bool))
+    first, second = m.a, m.a
+    assert first is not second and not np.shares_memory(first, second)
+    assert not first.flags.writeable and not m.bits.flags.writeable
+    with pytest.raises(ValueError):
+        m.bits[0] = 0
+
+
 # -- exact distance transform ---------------------------------------------
 
 
@@ -227,6 +269,13 @@ def test_edt_is_exact_on_both_sides_of_the_int32_limit():
             assert np.array_equal(got, brute_edt_sq(case)), f"{h}x1"
             assert int(got.max()) == (h - 1) ** 2
     assert (46342 - 1) ** 2 > np.iinfo(np.int32).max
+
+
+def test_edt_reads_a_bool_raster_as_its_mask():
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        arr = rng.random((9, 13)) < 0.3
+        assert np.array_equal(edt_sq(arr), edt_sq(BinaryMask(arr)))
 
 
 def test_edt_empty_mask_uses_squared_diagonal():

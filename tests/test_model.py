@@ -23,7 +23,7 @@ from grasp.model import (
     param_layout,
     save_checkpoint,
 )
-from grasp.synthdata import SceneConfig, generate_scene, perturb_vm
+from grasp.synthdata import MAX_SCENE_SIZE, SceneConfig, generate_scene, perturb_vm
 from grasp.tensor import Tensor, backward, zero_grads
 from grasp.training import TrainConfig, train
 
@@ -59,8 +59,11 @@ def test_config_validation():
     {"dim": 10_000_000, "heads": 1},
     {"n_prototypes": 10**12},
     {"n_prototypes": MAX_PARAMETERS // 64},  # the bank alone fills the ceiling
-    {"image_size": 2**40, "patch": 2**40},  # patch_dim past any array size
+    {"image_size": 2**40, "patch": 2**40},  # patch_dim past any array size, the image too
     {"image_size": 4096, "patch": 4096},  # patch_dim at the ceiling; a frozen block past it
+    # the layout does not see image_size, but per-token arrays are sized by it
+    {"image_size": 10**30},
+    {"image_size": MAX_SCENE_SIZE + 8},
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_layout_past_the_parameter_ceiling_is_rejected_before_allocating(kwargs):
     tracemalloc.start()
@@ -77,6 +80,7 @@ def test_layouts_within_the_parameter_ceiling_construct():
     assert sum(row.size for row in param_layout(GraspConfig())) == 103_427
     big = GraspConfig(dim=1024, heads=1)
     assert sum(row.size for row in param_layout(big)) <= MAX_PARAMETERS
+    assert GraspConfig(image_size=MAX_SCENE_SIZE).grid == MAX_SCENE_SIZE // 8
 
 
 def test_config_derived_quantities():

@@ -71,8 +71,9 @@ def test_image_is_derived_from_the_read_only_pixels():
     assert inst.image is not img  # computed anew, not cached
 
 
-def test_generated_instances_keep_under_12_kib_each():
-    # two 64x64 bool masks are 8 KiB; a float64 image per scene would add ~10 more
+def test_generated_instances_keep_under_4_kib_each():
+    # two 64x64 masks are 1 KiB as packed bits and would be 8 KiB as bool
+    # rasters; a float64 image per scene would add ~10 KiB more
     generate_scene(0)  # the first scene imports modules numpy loads lazily
     tracemalloc.start()
     try:
@@ -81,7 +82,7 @@ def test_generated_instances_keep_under_12_kib_each():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert kept / len(insts) < 12 * 1024, kept / len(insts)
+    assert kept / len(insts) < 4 * 1024, kept / len(insts)
 
 
 def test_scene_object_count_respects_config():

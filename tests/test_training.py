@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -479,6 +480,24 @@ def test_train_small_pool_resamples_with_replacement():
     model = GraspModel(SMALL, seed=0)
     result = train(model, _tiny_data(2), TrainConfig(steps=3, batch=5, seed=0))
     assert result.steps == 3
+
+
+def test_batch_8_train_step_keeps_one_instance_tape_alive_at_a_time():
+    # AdamW's four parameter-sized buffers are ~3.2 MiB and one default
+    # instance's tape ~1.5 MiB; holding the previous instance's tape while
+    # the next forward runs lifts the peak to ~5.8 MiB
+    pool = generate_dataset(16, 1)
+    model = GraspModel(GraspConfig(), seed=0)
+    config = TrainConfig(steps=1, batch=8)
+    train(model, pool, config)  # the first step imports what numpy loads lazily
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train(model, pool, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.25 * 2**20, peak / 2**20
 
 
 def test_train_rejects_empty_dataset():
