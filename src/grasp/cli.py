@@ -28,11 +28,19 @@ from .tensor import sigmoid
 from .training import TrainConfig, train
 
 
+_CONFIG_SECTIONS = ("scene", "model", "train")
+
+
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
     with open(path, "rb") as fh:
-        return parse_json_object(fh.read(), f"{path}: config", GraspError)
+        config = parse_json_object(fh.read(), f"{path}: config", GraspError)
+    unknown = sorted(set(config) - set(_CONFIG_SECTIONS))
+    if unknown:
+        raise ConfigError(f"{path}: unknown config sections {unknown}; "
+                          f"expected {list(_CONFIG_SECTIONS)}")
+    return config
 
 
 def _merge(section: dict, overrides: dict) -> dict:

@@ -27,6 +27,7 @@ tokens.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -327,15 +328,20 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
 # -- mechanism statistics ---------------------------------------------------
 
 
-def _grid_position_classes(grid: int) -> np.ndarray:
-    """0 = center, 1 = edge, 2 = corner, per token of a grid x grid layout."""
+@functools.lru_cache(maxsize=8)
+def _position_selections(grid: int) -> tuple[np.ndarray, ...]:
+    """Read-only token selections of a grid x grid layout, in _POSITION_NAMES order.
+
+    A token is a corner when it lies on both a border row and a border
+    column, an edge when on one of them, and a center otherwise.
+    """
     ty, tx = np.divmod(np.arange(grid * grid), grid)
     on_y = (ty == 0) | (ty == grid - 1)
     on_x = (tx == 0) | (tx == grid - 1)
-    classes = np.zeros(grid * grid, dtype=np.int64)
-    classes[on_y | on_x] = 1
-    classes[on_y & on_x] = 2
-    return classes
+    selections = (~(on_y | on_x), on_y ^ on_x, on_y & on_x)
+    for sel in selections:
+        sel.flags.writeable = False
+    return selections
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -367,8 +373,7 @@ class _MechanismTally:
     """
 
     def __init__(self, grid: int):
-        classes = _grid_position_classes(grid)
-        self.position_sel = [classes == cls for cls in range(len(_POSITION_NAMES))]
+        self.position_sel = _position_selections(grid)
         self.n = 0
         # gate: per-instance mean gate by occlusion bin and by grid position
         self.gate_by_bin = [[] for _ in OCC_BINS]

@@ -7,14 +7,19 @@ that the distance transform and the model read is unpacked on demand.
 Distances are measured between pixel centers.  The distance transform
 is exact Euclidean and only computed over a window: the bounding box of
 the false pixels grown by one pixel, since everything outside it is a
-true pixel at distance 0.  Inside the window it is separable: a
-per-column scan (two running extrema down the rows) finds the squared
-row distance to the nearest true pixel in each column that has one,
-then a broadcast minimum over those columns, taken over blocks of rows,
-adds the squared column offset and keeps the smallest sum.  All squared
-distances are integers until the final square root, so the minimum is
-exact and independent of the order in which it is taken; it runs in
-int32 whenever (h - 1)**2 + (w - 1)**2 < 2**31, which leaves every value
+true pixel at distance 0.  Inside the window it is separable: a scan
+of the columns that hold a true pixel, gathered once (two running
+maxima along the rows), finds each pixel's squared row distance to the
+nearest true pixel of each such column, then a broadcast minimum over
+those columns, taken over blocks of rows, adds the squared column
+offset and keeps the smallest sum.  When a bound from the scan puts
+every pixel's nearest true pixel within a few columns, as in a mask of
+scattered pixels, the minimum spans only those columns around each
+pixel.  All squared distances are integers until the final square
+root, so the minimum is exact and independent of the order in which it
+is taken.  It runs in the narrowest integer type that holds the largest
+one, (h - 1)**2 + (w - 1)**2: int16 below 2**15 (every image up to
+128 x 128), int32 below 2**31, int64 above, which leaves every value
 unchanged.
 
 The signed distance field of a mask V uses the opposite-class
@@ -36,7 +41,7 @@ import numpy as np
 from . import pgm
 from .errors import ConfigError, DimensionError, IntegrityError
 
-_BLOCK_ELEMENTS = 2**16  # elements in one broadcast-min block (256 KiB as int32)
+_BLOCK_BYTES = 2**18  # the broadcast-min temporary of one block of rows
 
 
 class BinaryMask:
@@ -146,21 +151,77 @@ def iou(a: BinaryMask, b: BinaryMask) -> float:
 # -- exact Euclidean distance transform ----------------------------------
 
 
-def _column_sq(feature: np.ndarray, dtype) -> np.ndarray:
-    """Squared row distance to the nearest true pixel in the same column.
+def _sum_dtype(h: int, w: int):
+    """The narrowest integer type that holds every squared distance in an h x w image."""
+    largest = (h - 1) ** 2 + (w - 1) ** 2
+    if largest < 2**15:
+        return np.int16
+    return np.int32 if largest < 2**31 else np.int64
 
-    Every column holds a true pixel.  A running maximum down the rows of
-    ``where(feature, y, -2h)`` gives the nearest true row at or above
-    each pixel, and a running minimum up the rows of ``where(feature, y,
-    3h)`` the nearest at or below; a side with no true pixel is left at
-    least 2h away, so the other side wins.
+
+def _column_sq(window: np.ndarray, found: np.ndarray, h: int, dtype) -> np.ndarray:
+    """Squared row distance to the nearest true pixel of each ``found`` column.
+
+    Returns (columns, rows).  A true pixel at row t is coded t + h for
+    the running maximum down the rows and 2h - t for the one up them; a
+    pixel with no true pixel on a side keeps the code 0 there, which
+    leaves that side at least h rows away, so the other side wins.
     """
-    h = feature.shape[0]
-    y = np.arange(h, dtype=dtype)[:, None]
-    above = np.maximum.accumulate(np.where(feature, y, -2 * h), axis=0)
-    below = np.minimum.accumulate(np.where(feature, y, 3 * h)[::-1], axis=0)[::-1]
-    d = np.minimum(y - above, below - y)
-    return d * d
+    wh = window.shape[0]
+    down = np.arange(h, h + wh, dtype=dtype)  # row + h
+    up = np.arange(2 * h, 2 * h - wh, -1, dtype=dtype)  # 2h - row
+    feature = window.T[found].astype(dtype)  # 1 at a true pixel
+    above = feature * down
+    below = feature * up
+    np.maximum.accumulate(above, axis=1, out=above)
+    np.maximum.accumulate(below[:, ::-1], axis=1, out=below[:, ::-1])  # up the rows
+    np.subtract(down, above, out=above)
+    np.subtract(up, below, out=below)
+    colsq = np.minimum(above, below, out=above)
+    colsq *= colsq
+    return colsq
+
+
+def _min_over_columns(colsq: np.ndarray, found: np.ndarray, ww: int) -> np.ndarray:
+    """min over found columns x' of colsq[x', y] + (x - x')^2, as (width, rows)."""
+    wh = colsq.shape[1]
+    dx_sq = np.subtract.outer(found.astype(colsq.dtype), np.arange(ww, dtype=colsq.dtype))
+    dx_sq *= dx_sq
+    near = np.empty((ww, wh), dtype=colsq.dtype)
+    step = max(1, _BLOCK_BYTES // (found.size * ww * colsq.itemsize))
+    for y in range(0, wh, step):
+        block = colsq[:, None, y : y + step] + dx_sq[:, :, None]
+        # a 2-d minimum over the leading axis runs as whole-row passes
+        near[:, y : y + step] = block.reshape(found.size, -1).min(axis=0).reshape(ww, -1)
+    return near
+
+
+def _min_within_reach(colsq: np.ndarray, found: np.ndarray, ww: int, reach: int,
+                      fill: int) -> np.ndarray:
+    """min over |k| <= reach of colsq[x + k, y] + k^2, as (rows, width).
+
+    The columns are laid out side by side in rows of ww + 2 * reach, with
+    ``reach`` columns before and after the window's.  Window columns with
+    no true pixel, and the columns past its edges, hold ``fill``, which
+    is no less than any answer, so they never lower it.  Read as one flat
+    run, offset k of every pixel is the run shifted by reach + k, so each
+    block of rows is one (offsets, run) add and one minimum; the last
+    2 * reach places of each row fall past the window and are dropped.
+    """
+    wh, width = colsq.shape[1], ww + 2 * reach
+    padded = np.full((wh, width), fill, dtype=colsq.dtype)
+    padded[:, reach + found] = colsq.T
+    k_sq = np.arange(-reach, reach + 1, dtype=colsq.dtype)[:, None] ** 2
+    near = np.empty((wh, width), dtype=colsq.dtype)
+    flat, item = near.reshape(-1), padded.itemsize
+    step = max(1, _BLOCK_BYTES // ((2 * reach + 1) * width * item))
+    for y in range(0, wh, step):
+        start, run = y * width, min(step, wh - y) * width - 2 * reach
+        # shifted[k, p] = padded.flat[start + p + k], a view
+        shifted = np.ndarray((2 * reach + 1, run), padded.dtype, padded, start * item,
+                             (item, item))
+        np.min(shifted + k_sq, axis=0, out=flat[start : start + run])
+    return near[:, :ww]
 
 
 def edt_sq(mask: BinaryMask | np.ndarray) -> np.ndarray:
@@ -176,16 +237,25 @@ def edt_sq(mask: BinaryMask | np.ndarray) -> np.ndarray:
     is true there and no farther from any pixel inside; the answer in the
     window therefore needs only the window.
 
-    Inside it, the column scan gives each pixel its squared row distance
-    colsq[y, x'] to the nearest true pixel of every window column x' that
-    holds one; the answer is min over those x' of colsq[y, x'] + (x -
-    x')^2, a minimum over the leading axis of a (columns, rows, width)
-    broadcast taken a block of rows at a time, so the temporary holds at
-    most _BLOCK_ELEMENTS elements (one row when a row alone is more).
-    Every term is an integer, so the minimum is exact.  It is taken in
-    int32 when the largest possible sum, (h - 1)^2 + (w - 1)^2, stays
-    below 2^31, so no sum can wrap and the result equals the int64 one;
-    larger images take the same path in int64.
+    Inside it, the window columns that hold a true pixel are gathered
+    once, and two running maxima along their rows give colsq[x', y], the
+    squared row distance to the nearest true pixel of column x'.  The
+    answer is min over those x' of colsq[x', y] + (x - x')^2.  Every
+    window column lies within ``gap`` columns of such an x', so no answer
+    exceeds bound = max(colsq) + gap^2, and the nearest true pixel of
+    every pixel is at most reach = isqrt(bound) columns away.  When the
+    2 * reach + 1 columns around each pixel are fewer than the x', as in
+    a mask of scattered pixels, the minimum runs over those offsets
+    only; otherwise over every x', as a (columns, width, rows) broadcast.
+    Either is taken a block of rows at a time, so the temporary holds at
+    most _BLOCK_BYTES (one row when a row alone is more).
+
+    Every term is an integer, so the minimum is exact and the same on
+    both paths.  It is taken in the narrowest of int16, int32 and int64
+    that holds the largest possible sum, (h - 1)^2 + (w - 1)^2: int16
+    below 2^15, which covers every image up to 128 x 128, int32 below
+    2^31, int64 above.  No code exceeds 2h and no sum, fill included,
+    can wrap, so the result equals the int64 one.
 
     An empty mask has no feature to measure against; every pixel gets
     the squared image diagonal by convention.  An all-true mask is 0
@@ -193,28 +263,28 @@ def edt_sq(mask: BinaryMask | np.ndarray) -> np.ndarray:
     """
     arr = mask.a if isinstance(mask, BinaryMask) else mask
     h, w = arr.shape
-    if not arr.any():
-        return np.full((h, w), np.int64(h * h + w * w))
-    out = np.zeros((h, w), dtype=np.int64)
-    false = ~arr
-    rows = np.flatnonzero(false.any(axis=1))
+    rows = np.flatnonzero(~arr.all(axis=1))
     if rows.size == 0:
-        return out
-    cols = np.flatnonzero(false.any(axis=0))
+        return np.zeros((h, w), dtype=np.int64)
+    cols = np.flatnonzero(~arr.all(axis=0))
     y0, y1 = max(rows[0] - 1, 0), min(rows[-1] + 2, h)
     x0, x1 = max(cols[0] - 1, 0), min(cols[-1] + 2, w)
     window = arr[y0:y1, x0:x1]
     found = np.flatnonzero(window.any(axis=0))  # window columns holding a true pixel
-    dtype = np.int32 if (h - 1) ** 2 + (w - 1) ** 2 < 2**31 else np.int64
-    # (columns, rows), contiguous: the broadcast below reads it ~20% faster than a view
-    colsq = np.ascontiguousarray(_column_sq(window[:, found], dtype).T)
-    dx_sq = ((np.arange(x1 - x0) - found[:, None]) ** 2).astype(dtype)
-    wh, ww = window.shape
-    near = np.empty((wh, ww), dtype=dtype)
-    step = max(1, _BLOCK_ELEMENTS // (found.size * ww))
-    for y in range(0, wh, step):
-        np.min(colsq[:, y : y + step, None] + dx_sq[:, None, :], axis=0, out=near[y : y + step])
-    out[y0:y1, x0:x1] = near
+    if found.size == 0:  # the window holds a true pixel whenever the mask does
+        return np.full((h, w), np.int64(h * h + w * w))
+    ww = window.shape[1]
+    colsq = _column_sq(window, found, h, _sum_dtype(h, w))
+    gap = max(int(found[0]), ww - 1 - int(found[-1]))
+    if found.size > 1:
+        gap = max(gap, int((found[1:] - found[:-1]).max()) // 2)
+    bound = int(colsq.max()) + gap * gap
+    reach = math.isqrt(bound)
+    out = np.zeros((h, w), dtype=np.int64)
+    if 2 * reach + 1 < found.size:
+        out[y0:y1, x0:x1] = _min_within_reach(colsq, found, ww, reach, bound)
+    else:
+        out[y0:y1, x0:x1] = _min_over_columns(colsq, found, ww).T
     return out
 
 
@@ -250,8 +320,10 @@ def sdf(mask: BinaryMask) -> SdfField:
     h, w = mask.shape
     diagonal = math.sqrt(h * h + w * w)
     arr = mask.a
-    d = np.sqrt((edt_sq(arr) + edt_sq(~arr)).astype(np.float64))
-    values = np.where(arr, -d, d)
+    sq = edt_sq(arr)
+    sq += edt_sq(~arr)
+    values = np.sqrt(sq, dtype=np.float64)
+    np.negative(values, out=values, where=arr)
     values.flags.writeable = False
     normalized = values / diagonal
     normalized.flags.writeable = False

@@ -47,6 +47,9 @@ OCC_BINS = ((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0))
 
 # Largest scene side: one float64 image of it is 128 MiB.
 MAX_SCENE_SIZE = 4096
+# Most objects in one scene (the default draws 2 to 4): the occlusion
+# bookkeeping is quadratic in the count.
+MAX_OBJECTS = 64
 
 MANIFEST_NAME = "manifest.json"
 DATASET_FORMAT = "grasp-dataset-v1"
@@ -69,6 +72,8 @@ class SceneConfig:
             raise ConfigError(
                 f"max_objects {self.max_objects} below min_objects {self.min_objects}"
             )
+        if self.max_objects > MAX_OBJECTS:
+            raise ConfigError(f"max_objects {self.max_objects} exceeds the ceiling {MAX_OBJECTS}")
         if self.size < 16:
             raise ConfigError(f"scene size {self.size} is too small to place shapes")
         if self.size > MAX_SCENE_SIZE:

@@ -39,7 +39,11 @@ multi-head attention is two nodes between its projection matmuls
 (softmax weights, then the weighted values).  Their hand-written
 pullbacks reproduce the elementary chains bit for bit, as does the
 segmentation loss node built by ``grasp.training.total_loss``; with the
-default model config one instance's loss traces to 34 tensors.
+default model config one instance's loss traces to 34 tensors.  The
+attention nodes take all heads at once: each forward and pullback
+product is one batched ``np.matmul`` over (heads, L, d_h) stacks whose
+per-head matrices have the layouts of the per-head chain's operands, so
+every head's product is the one that chain computes.
 
 A single tape is built and swept on one thread; nothing here is
 thread-safe and nothing needs to be at this scale.
@@ -705,25 +709,33 @@ class AttentionParams:
         return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)]
 
 
-def _head_blocks(width: int, heads: int) -> list[slice]:
-    dh = width // heads
-    return [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+def _split_heads(x, heads):
+    """(L, heads * d_h) -> a contiguous (heads, L, d_h) copy; head h is column block h."""
+    n, width = x.shape
+    return x.reshape(n, heads, width // heads).transpose(1, 0, 2).copy()
+
+
+def _merge_heads(x):
+    """(heads, L, d_h) -> a contiguous (L, heads * d_h), the heads side by side."""
+    heads, n, dh = x.shape
+    return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(n, heads * dh)
 
 
 def _attention_weights_arr(qp, kp, heads):
-    """Per-head softmax((q_h @ k_h^T) * scale) stacked to (heads, L_q, L_k).
+    """softmax((q_h @ k_h^T) * scale) for every head h at once, shape (heads, L_q, L_k).
 
     Head h owns columns [h*dh, (h+1)*dh) of the projections.  Returns
-    the weights and the scale, head blocks, and per-head query and
-    transposed key copies they were computed from.
+    the weights, the scale, and the contiguous per-head queries
+    (heads, L_q, dh) and transposed keys (heads, dh, L_k) they were
+    computed from.
     """
-    blocks = _head_blocks(qp.shape[1], heads)
-    scale = 1.0 / math.sqrt(qp.shape[1] // heads)
-    qhs = [qp[:, b].copy() for b in blocks]
-    khts = [kp[:, b].T.copy() for b in blocks]
-    z = np.stack([qh @ kht for qh, kht in zip(qhs, khts)]) * scale
+    dh = qp.shape[1] // heads
+    scale = 1.0 / math.sqrt(dh)
+    qh = _split_heads(qp, heads)
+    kht = kp.T.reshape(heads, dh, kp.shape[0]).copy()
+    z = np.matmul(qh, kht) * scale
     e = np.exp(z - z.max(axis=2, keepdims=True))
-    return e / e.sum(axis=2, keepdims=True), scale, blocks, qhs, khts
+    return e / e.sum(axis=2, keepdims=True), scale, qh, kht
 
 
 def _attention_weights(qp, kp, heads: int):
@@ -735,15 +747,13 @@ def _attention_weights(qp, kp, heads: int):
     if _untaped(qp, kp):
         return _attention_weights_arr(qp, kp, heads)[0]
     qp, kp = _coerce(qp), _coerce(kp)
-    y, scale, blocks, qhs, khts = _attention_weights_arr(qp.data, kp.data, heads)
+    y, scale, qh, kht = _attention_weights_arr(qp.data, kp.data, heads)
 
     def pull(g):
         gs = y * (g - (g * y).sum(axis=2, keepdims=True)) * scale
-        gq, gk = np.zeros(qp.data.shape), np.zeros(kp.data.shape)
-        for h, b in enumerate(blocks):
-            gq[:, b] = gs[h] @ khts[h].T
-            gk[:, b] = (qhs[h].T @ gs[h]).T
-        return gq, gk
+        gq = np.matmul(gs, kht.transpose(0, 2, 1))
+        gk = np.matmul(qh.transpose(0, 2, 1), gs).transpose(0, 2, 1)
+        return _merge_heads(gq), _merge_heads(gk)
 
     return _attach(y, (qp, kp), pull)
 
@@ -751,26 +761,25 @@ def _attention_weights(qp, kp, heads: int):
 def _attention_mix_arr(weights, vp, heads):
     """Head h's weights times its column block of vp, heads side by side.
 
-    Returns the mix and the head blocks and per-head value copies it read.
+    Returns the mix and the contiguous per-head values (heads, L_k, dh) it read.
     """
-    blocks = _head_blocks(vp.shape[1], heads)
-    vhs = [vp[:, b].copy() for b in blocks]
-    return np.concatenate([weights[h] @ vh for h, vh in enumerate(vhs)], axis=1), blocks, vhs
+    vh = _split_heads(vp, heads)
+    return _merge_heads(np.matmul(weights, vh)), vh
 
 
 def _attention_mix(weights, vp, heads: int):
     if _untaped(weights, vp):
         return _attention_mix_arr(weights, vp, heads)[0]
     weights, vp = _coerce(weights), _coerce(vp)
-    out, blocks, vhs = _attention_mix_arr(weights.data, vp.data, heads)
+    out, vh = _attention_mix_arr(weights.data, vp.data, heads)
     y = weights.data
 
     def pull(g):
-        gw = np.stack([g[:, b] @ vh.T for b, vh in zip(blocks, vhs)])
-        gv = np.zeros(vp.data.shape)
-        for h, b in enumerate(blocks):
-            gv[:, b] = y[h].T @ g[:, b]
-        return gw, gv
+        # head h's column block of g, as a strided view
+        gh = g.reshape(g.shape[0], heads, -1).transpose(1, 0, 2)
+        gw = np.matmul(gh, vh.transpose(0, 2, 1))
+        gv = np.matmul(y.transpose(0, 2, 1), gh)
+        return gw, _merge_heads(gv)
 
     return _attach(out, (weights, vp), pull)
 
@@ -787,13 +796,17 @@ def multihead_cross_attention(q, k, v, params: AttentionParams, heads: int):
 
     Between the four projection matmuls the tape holds two nodes:
     ``attn`` from the projected queries and keys, and the concatenated
-    head outputs from ``attn`` and the projected values.  Their
-    hand-written pullbacks evaluate the same numpy expressions, on the
-    same operand layouts, as a per-head chain of cols, transpose, matmul,
-    mul, softmax, reshape and concat nodes would, so every gradient is
-    bit-equal to that chain's.  The projections keep their creation order
-    because a prototype bank passed as both keys and values sums its two
-    gradient pieces in that order.
+    head outputs from ``attn`` and the projected values.  Both compute
+    every head in one batched matmul, forward and pullback alike: the
+    projections' head blocks are stacked as contiguous (heads, L, d_h)
+    copies, and an incoming gradient's as a strided view.  Each head's
+    slice of a stack is the matrix a per-head chain of cols, transpose,
+    matmul, mul, softmax, reshape and concat nodes would multiply, in the
+    same layout, and every gradient leaves the node C-contiguous as that
+    chain's does, so outputs and gradients are bit-equal to the chain's.
+    The projections keep their creation order because a prototype bank
+    passed as both keys and values sums its two gradient pieces in that
+    order.
     """
     qs, ks, vs = (np.shape(array_of(x)) for x in (q, k, v))
     if len(qs) != 2 or len(ks) != 2 or len(vs) != 2:

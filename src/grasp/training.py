@@ -15,6 +15,7 @@ run is bit-reproducible.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
@@ -147,6 +148,9 @@ class TrainConfig:
         if self.steps < 1 or self.batch < 1:
             raise ConfigError("steps and batch must be positive")
         check_ranges(self, (
+            # a longer batch is no array numpy can index; a shorter one may still not fit
+            ("batch", self.batch <= sys.maxsize, f"<= {sys.maxsize}"),
+            ("seed", self.seed >= 0, ">= 0"),
             ("ckpt_every", self.ckpt_every >= 0, ">= 0"),
             ("clean_vm_prob", 0.0 <= self.clean_vm_prob <= 1.0, "in [0, 1]"),
             ("lr", 0.0 < self.lr < math.inf, "finite and > 0"),

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import grasp
 import grasp.evalkit
+import grasp.geometry
 import grasp.training
 from grasp.model import GraspConfig, GraspModel
 from grasp.synthdata import SceneConfig, generate_scene
@@ -80,6 +81,22 @@ def test_one_traced_forward_opens_each_stage_span_once():
                       "model.decode": 2}
     forward = names.index("model.forward")
     assert all(tracer.spans[i][tracing.ROOT] == forward for i in range(len(names)))
+
+
+def test_one_traced_sdf_opens_edt_sq_twice():
+    # geometry.edt_sq.ms is read from spans of the public name, so sdf must
+    # keep calling it by that name, once per side of the mask
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    inst = generate_scene(1, SceneConfig(size=16, min_objects=2, max_objects=2))[0]
+    try:
+        tracing.install(tracer)
+        grasp.geometry.sdf(inst.visible)
+    finally:
+        tracer.restore()
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names == ["geometry.sdf", "geometry.edt_sq", "geometry.edt_sq"], names
+    assert all(span[tracing.PARENT] == 0 for span in tracer.spans[1:])
 
 
 def test_traced_evaluate_opens_each_stage_span_once_per_instance():

@@ -620,3 +620,35 @@ def test_gen_size_above_the_ceiling_is_a_config_error(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:ConfigError:"), lines
     assert not out.exists()
+
+
+def test_negative_train_seed_is_a_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    data = _gen(tmp_path, "data", n=2, config=cfg)
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({**SMALL_CONFIG,
+                                    "train": {**SMALL_CONFIG["train"], "seed": -1}}))
+    capsys.readouterr()
+    ckpt = tmp_path / "m.ckpt"
+    for argv in (["--config", cfg, "--seed", "-1"], ["--config", str(negative)]):
+        assert main(["train", "--data", str(data), "--out", str(ckpt), *argv]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:ConfigError:"), (argv, lines)
+        assert "seed" in lines[0], lines
+        assert not ckpt.exists()
+        assert not (tmp_path / "m.ckpt.loss.csv").exists()
+
+
+def test_unknown_config_section_is_a_config_error(tmp_path, capsys):
+    data = _gen(tmp_path, "data", n=2, config=_write_config(tmp_path))
+    misspelt = tmp_path / "misspelt.json"
+    misspelt.write_text(json.dumps({"modle": {"dim": 8, "heads": 2}}))
+    capsys.readouterr()
+    for argv in (["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt")],
+                 ["gen", "--out", str(tmp_path / "gen"), "--n", "2"]):
+        assert main([*argv, "--config", str(misspelt)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:ConfigError:"), (argv, lines)
+        assert "modle" in lines[0], lines
+    assert not (tmp_path / "m.ckpt").exists()
+    assert not (tmp_path / "gen").exists()

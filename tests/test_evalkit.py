@@ -14,6 +14,7 @@ from grasp.errors import ConfigError, DimensionError
 from grasp.evalkit import (
     OCC_BINS,
     VM_BINS,
+    _position_selections,
     ablate,
     attention_stats,
     evaluate,
@@ -492,6 +493,17 @@ def test_gate_stats_grid4_position_counts():
     assert pos["corner"]["n_tokens"] == 4
     for name in ("center", "edge", "corner"):
         assert 0.0 < pos[name]["mean_gate"] < 1.0
+
+
+def test_position_selections_are_cached_read_only_and_partition_the_grid():
+    for grid in (1, 2, 3, 5):
+        center, edge, corner = _position_selections(grid)
+        assert _position_selections(grid)[0] is center  # built once per grid
+        assert not any(sel.flags.writeable for sel in (center, edge, corner))
+        assert np.array_equal(center.astype(int) + edge + corner, np.ones(grid * grid, int))
+        n_corner = 4 if grid > 1 else 1
+        assert (int(corner.sum()), int(edge.sum()), int(center.sum())) == (
+            n_corner, 4 * max(grid - 2, 0), max(grid - 2, 0) ** 2)
 
 
 def test_gate_stats_rise_with_occlusion_when_alpha_positive():

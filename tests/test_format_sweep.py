@@ -4,7 +4,10 @@ Dataset: every manifest field, every instance-entry field and every PGM
 header token is set, one at a time, to each value of a fixed set, and
 ``grasp train`` reads the result.  Checkpoint: every header field, every
 ``config`` key and every field of one ``params`` entry is set the same
-way, and ``grasp stats`` reads the result.
+way, and ``grasp stats`` reads the result.  Config file: every field of
+the ``scene``, ``model`` and ``train`` sections, and one unknown
+top-level section, is set the same way; ``grasp gen`` reads the scene
+cases and ``grasp train`` the others.
 
 Each case must exit 0, or exit 1 with exactly one ``error:<Kind>:``
 line on stderr.  Any other exception propagates and fails the test,
@@ -18,6 +21,9 @@ import re
 import warnings
 
 from grasp.cli import main
+from grasp.model import GraspConfig
+from grasp.synthdata import SceneConfig
+from grasp.training import TrainConfig
 
 SCENE = {"size": 16, "min_objects": 2, "max_objects": 2}
 MODEL = {"image_size": 16, "patch": 8, "dim": 8, "heads": 2, "n_prototypes": 4,
@@ -41,6 +47,27 @@ ERROR_KINDS = {"DatasetIOError": 199, "IntegrityError": 13}
 CKPT_ACCEPTED = {"config.gate_override=0", "extra=missing", "seed=0", "seed=huge", "step=0",
                  "step=huge"}
 CKPT_ERROR_KINDS = {"ConfigError": 62, "IntegrityError": 84}
+
+
+# every section field written out, so each one is mutated; gen makes two
+# instances, and train's --steps 1 wins over the file's steps
+CONFIG = {"scene": SceneConfig(**SCENE).to_dict(), "model": GraspConfig(**MODEL).to_dict(),
+          "train": TrainConfig(steps=1, batch=1).to_dict()}
+CONFIG_ACCEPTED = {
+    # a missing field takes its default; the default image size is not the dataset's
+    *(f"{section}.{key}=missing" for section, fields in CONFIG.items() for key in fields
+      if key != "image_size"),
+    # the file's steps is never read
+    *(f"train.steps={label}" for label in LABELS),
+    *(f"{key}=0" for key in ("scene.background", "scene.noise_sigma", "scene.overlap_bias",
+                             "model.gate_override", "train.beta1", "train.beta2",
+                             "train.ckpt_every", "train.clean_vm_prob", "train.occ_weight",
+                             "train.seed", "train.weight_decay")),
+    *(f"{key}=huge" for key in ("scene.noise_sigma", "train.ckpt_every", "train.eps",
+                                "train.lr", "train.occ_weight", "train.seed",
+                                "train.weight_decay")),
+}
+CONFIG_ERROR_KINDS = {"ConfigError": 166, "DimensionError": 1}
 
 
 def _wrong_type(original):
@@ -163,3 +190,28 @@ def test_every_checkpoint_header_mutation_ends_in_exit_0_or_one_error_line(tmp_p
     accepted, kinds = _sweep(argv, _checkpoint_cases(ckpt), capsys)
     assert accepted == CKPT_ACCEPTED
     assert kinds == CKPT_ERROR_KINDS
+
+
+def _config_cases(path, sections):
+    for section in sections:
+        for key in CONFIG[section]:
+            for label, value in JSON_VALUES.items():
+                mutated = {**CONFIG, section: _mutated(CONFIG[section], key, value)}
+                yield f"{section}.{key}={label}", path, json.dumps(mutated).encode()
+    yield "extra_section", path, json.dumps({**CONFIG, "modle": dict(MODEL)}).encode()
+
+
+def test_every_config_file_mutation_ends_in_exit_0_or_one_error_line(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    data = tmp_path / "data"
+    gen = ["gen", "--out", str(data), "--n", "2", "--seed", "0", "--config", str(config)]
+    accepted, kinds = _sweep(gen, _config_cases(config, ["scene"]), capsys)
+    train = ["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+             "--config", str(config), "--steps", "1"]
+    more, more_kinds = _sweep(train, _config_cases(config, ["model", "train"]), capsys)
+    for kind, n in more_kinds.items():
+        kinds[kind] = kinds.get(kind, 0) + n
+    assert accepted | more == CONFIG_ACCEPTED, (
+        sorted((accepted | more) - CONFIG_ACCEPTED), sorted(CONFIG_ACCEPTED - (accepted | more)))
+    assert kinds == CONFIG_ERROR_KINDS

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from grasp import geometry
 from grasp.errors import ConfigError, DatasetIOError, DimensionError, IntegrityError
 from grasp.geometry import (
     BinaryMask,
@@ -269,6 +270,48 @@ def test_edt_is_exact_on_both_sides_of_the_int32_limit():
             assert np.array_equal(got, brute_edt_sq(case)), f"{h}x1"
             assert int(got.max()) == (h - 1) ** 2
     assert (46342 - 1) ** 2 > np.iinfo(np.int32).max
+
+
+def test_edt_is_exact_on_both_sides_of_the_int16_limit():
+    # The minimum runs in int16 only while (h - 1)^2 + (w - 1)^2 stays
+    # below 2^15: 182x1 and 128x128 qualify, 183x1 and 129x129 do not.
+    # A single true pixel in a corner reaches the largest distance.
+    for h, w in ((182, 1), (183, 1), (128, 128), (129, 129)):
+        arr = np.zeros((h, w), dtype=bool)
+        arr[0, 0] = True
+        rng = np.random.default_rng(h)
+        scattered = rng.random((h, w)) < 0.05
+        scattered[-1, -1] = True
+        for case in (arr, arr[::-1, ::-1], scattered, ~scattered):
+            got = edt_sq(BinaryMask(case))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, brute_edt_sq(case)), f"{h}x{w}"
+        assert int(edt_sq(BinaryMask(arr)).max()) == (h - 1) ** 2 + (w - 1) ** 2
+    assert 181**2 < 2**15 <= 182**2 and 2 * 127**2 < 2**15 <= 2 * 128**2
+
+
+def test_edt_takes_both_minimum_paths_and_each_is_exact(monkeypatch):
+    # Scattered pixels keep every answer small, so the minimum runs over
+    # the few columns within reach; a compact blob needs every column.  Two
+    # full rows reach 31 columns, so that minimum spans several row blocks.
+    calls = {"_min_within_reach": 0, "_min_over_columns": 0}
+    for name in calls:
+        original = getattr(geometry, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(geometry, name, counted)
+    rng = np.random.default_rng(6)
+    yy, xx = np.mgrid[:64, :64]
+    cases = [(yy % 3 == 0) & (xx % 3 == 0), (yy % 8 == 1) & (xx % 5 == 2),
+             (yy - 30) ** 2 + (xx - 20) ** 2 < 100, (yy == 31) | (yy == 32)]
+    cases += [rng.random((h, w)) < p for h, w, p in ((64, 64, 0.1), (40, 70, 0.3), (9, 200, 0.2))]
+    for i, arr in enumerate(cases):
+        for case in (arr, ~arr):
+            assert np.array_equal(edt_sq(case), brute_edt_sq(case)), f"case {i}"
+    assert calls["_min_within_reach"] > 0 and calls["_min_over_columns"] > 0, calls
 
 
 def test_edt_reads_a_bool_raster_as_its_mask():

@@ -565,6 +565,20 @@ def test_attention_is_bit_equal_to_the_per_head_chain():
             assert np.array_equal(a, b), f"seed {seed} {shape}: array {i} differs"
 
 
+def test_attention_is_bit_equal_to_the_per_head_chain_at_model_widths():
+    # Wider than the cases above, up to the model's (64 channels in 4 heads,
+    # 64 tokens against 64 mask tokens or 32 prototypes): these reach BLAS
+    # paths where a gradient handed on in another memory order changes bits.
+    cases = ((64, 64, 64), (64, 64, 32), (32, 64, 7), (32, 5, 32), (32, 1, 7))
+    for seed, (dim, l_q, l_k) in enumerate(cases):
+        for kv_mode in ("leaf", "separate"):
+            shape = (4, dim, l_q, l_k, kv_mode, "both")
+            got = _attention_run(multihead_cross_attention, seed, *shape)
+            want = _attention_run(_attention_chain, seed, *shape)
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert np.array_equal(a, b), f"{shape}: array {i} differs"
+
+
 def _dense_chain(x, w, b, act=None):
     y = add_rowvec(matmul(x, w), b)
     return {"relu": relu, "tanh": tanh}[act](y) if act else y
