@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: gen, train, eval, ablate, probe, stats, sdf.  Every
-subcommand accepts --config JSON_FILE; explicit flags override config
-file values.  Outputs embed the resolved configuration and the package
-version.  Exit codes: 0 success, 1 I/O, data-integrity or out-of-memory
-failure (one machine-parsable line on stderr), 2 usage error.
+Subcommands: gen, train, eval, ablate, probe, stats, sdf.  gen and
+train accept --config JSON_FILE; explicit flags override config file
+values, which are checked first.  Outputs embed the resolved
+configuration and the package version.  Exit codes: 0 success, 1 I/O,
+data-integrity or out-of-memory failure (one machine-parsable line on
+stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,15 +45,6 @@ def _load_config_file(path) -> dict:
     return config
 
 
-def _merge(section: dict, overrides: dict) -> dict:
-    """Config-file section, with explicitly set flags winning."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section must be a JSON object, got {type(section).__name__}")
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return merged
-
-
 def _run_config(args, sections: dict) -> dict:
     return {
         "version": __version__,
@@ -72,9 +65,9 @@ def _write_json(path, payload: dict) -> None:
 
 def cmd_gen(args) -> int:
     file_cfg = _load_config_file(args.config)
-    scene_cfg = SceneConfig.from_dict(
-        _merge(file_cfg.get("scene", {}), {"size": args.size})
-    )
+    scene_cfg = SceneConfig.from_dict(file_cfg.get("scene", {}))
+    if args.size is not None:
+        scene_cfg = replace(scene_cfg, size=args.size)
     instances = generate_dataset(args.n, args.seed, scene_cfg)
     write_dataset(args.out, instances, args.seed, scene_cfg, split=args.split)
     print(f"wrote {len(instances)} instances to {args.out}")
@@ -84,12 +77,9 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
     model_cfg = GraspConfig.from_dict(file_cfg.get("model", {}))
-    train_cfg = TrainConfig.from_dict(
-        _merge(
-            file_cfg.get("train", {}),
-            {"steps": args.steps, "batch": args.batch, "lr": args.lr, "seed": args.seed},
-        )
-    )
+    flags = {"steps": args.steps, "batch": args.batch, "lr": args.lr, "seed": args.seed}
+    train_cfg = replace(TrainConfig.from_dict(file_cfg.get("train", {})),
+                        **{k: v for k, v in flags.items() if v is not None})
     _, instances = read_dataset(args.data)
     model = GraspModel(model_cfg, seed=train_cfg.seed)
     loss_csv = args.loss_csv or (args.out + ".loss.csv")
@@ -101,13 +91,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(args) -> GraspModel:
-    model, _ = load_checkpoint(args.ckpt)
-    return model
-
-
 def cmd_eval(args) -> int:
-    model = _load_model(args)
+    model, _ = load_checkpoint(args.ckpt)
     _, instances = read_dataset(args.data)
     override = "config" if args.gate_override is None else args.gate_override
     report = evalkit.evaluate(
@@ -120,9 +105,9 @@ def cmd_eval(args) -> int:
         threshold=args.threshold,
         eval_seed=args.seed,
         occ_metric=args.occ_metric,
-        config_echo=_run_config(args, {"model": model.config.to_dict()}),
-        version=__version__,
     )
+    report.config = _run_config(args, {"model": model.config.to_dict()})
+    report.version = __version__
     os.makedirs(args.out, exist_ok=True)
     report.to_json(os.path.join(args.out, "report.json"))
     report.to_csv(os.path.join(args.out, "report.csv"))
@@ -133,7 +118,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    model = _load_model(args)
+    model, _ = load_checkpoint(args.ckpt)
     _, instances = read_dataset(args.data)
     rows = []
     for override, report in evalkit.ablate(
@@ -154,7 +139,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    model = _load_model(args)
+    model, _ = load_checkpoint(args.ckpt)
     _, instances = read_dataset(args.data)
     report = probe_mod.probe_report(
         model, instances, lam=args.ridge_lambda, seed=args.seed, test_frac=args.test_frac
@@ -174,7 +159,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    model = _load_model(args)
+    model, _ = load_checkpoint(args.ckpt)
     _, instances = read_dataset(args.data)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     gate, attention = evalkit.mechanism_stats(model, instances)

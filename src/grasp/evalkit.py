@@ -19,10 +19,12 @@ self-estimated visible mask: amodal minus occluded from pass one,
 falling back to the original visible-mask input when that estimate is
 empty.
 
-Gate and prototype-attention statistics are reduced as each instance
-finishes: a sweep keeps a few scalars and two running sums per
-instance stream, never an instance's attention maps, gate or SDF
-tokens.
+Every protocol reads its masks, each row's mean gate and the gate and
+prototype-attention statistics from the one trace that made the
+prediction: under two-pass inference, the second pass's.  The
+statistics are reduced as each instance finishes: a sweep keeps a few
+scalars and two running sums per instance stream, never an instance's
+attention maps, gate or SDF tokens.
 """
 
 from __future__ import annotations
@@ -89,24 +91,28 @@ def two_pass(model: GraspModel, image: np.ndarray, v_input: BinaryMask,
     """
     model = model.untaped()
     first = model.forward(image, v_input, gate_override=gate_override)
-    return _second_pass(model, v_input, first, threshold, gate_override)
+    second, a1, o1, v_ref, fallback = _second_pass(model, v_input, first, threshold,
+                                                   gate_override)
+    a2, o2 = _masks(second, threshold)
+    return TwoPassResult(
+        amodal=a2, occluded=o2, v_reference=v_ref, passes=2,
+        fallback_used=fallback, first_amodal=a1, first_occluded=o1,
+    )
 
 
-def _second_pass(model, v_input, first, threshold, gate_override) -> TwoPassResult:
-    """Two-pass inference given an untaped model and the first pass's trace.
+def _second_pass(model, v_input, first, threshold, gate_override):
+    """``(trace, first amodal, first occluded, v_reference, fallback_used)`` of pass two.
 
-    The second pass reuses the first one's image tokens.
+    Given an untaped model and the first pass's trace; the second pass
+    reuses the first one's image tokens.
     """
     a1, o1 = _masks(first, threshold)
     v_ref = mask_diff(a1, o1)
     fallback = not v_ref.any()
     if fallback:
         v_ref = v_input
-    a2, o2 = _masks(model.regate(model.prefix(first.tokens, v_ref), gate_override), threshold)
-    return TwoPassResult(
-        amodal=a2, occluded=o2, v_reference=v_ref, passes=2,
-        fallback_used=fallback, first_amodal=a1, first_occluded=o1,
-    )
+    second = model.regate(model.prefix(first.tokens, v_ref), gate_override)
+    return second, a1, o1, v_ref, fallback
 
 
 @dataclass
@@ -204,30 +210,32 @@ def stratify(rows: list, key: str, bins) -> list:
 def evaluate(model, instances: list[SceneInstance], protocol: str = "oracle", *,
              gate_override: Optional[float] = "config", use_postprocess: bool = False,
              use_two_pass: bool = False, threshold: float = 0.5, eval_seed: int = 0,
-             occ_metric: str = "head", collect_stats: bool = True,
-             config_echo: Optional[dict] = None, version: Optional[str] = None) -> EvalReport:
+             occ_metric: str = "head", collect_stats: bool = True) -> EvalReport:
     """Run a full evaluation sweep and aggregate every reporting table.
 
-    ``model`` is normally a GraspModel; any callable
-    ``(image, v_input) -> (amodal_mask, occluded_mask)`` also works
-    (mechanism stats are then skipped), which keeps the metric plumbing
-    testable against stub predictors with hand-computable IoUs.  A
-    model runs untaped.
+    ``model`` is normally a GraspModel, which runs untaped; each row's
+    ``mean_gate`` and the mechanism statistics then come from the trace
+    that made the scored prediction, the second pass's under two-pass
+    inference.  Any callable ``(image, v_input) -> (amodal_mask,
+    occluded_mask)`` also works (``mean_gate`` and the mechanism stats
+    are then skipped), which keeps the metric plumbing testable against
+    stub predictors with hand-computable IoUs.  The report's ``config``
+    and ``version`` are left for the caller to fill.
     """
     return _sweep(model, instances, protocol, (gate_override,), use_postprocess=use_postprocess,
                   use_two_pass=use_two_pass, threshold=threshold, eval_seed=eval_seed,
-                  occ_metric=occ_metric, collect_stats=collect_stats, config_echo=config_echo,
-                  version=version)[0]
+                  occ_metric=occ_metric, collect_stats=collect_stats)[0]
 
 
 def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
            use_two_pass=False, threshold=0.5, eval_seed=0, occ_metric="head",
-           collect_stats=True, config_echo=None, version=None) -> list[EvalReport]:
+           collect_stats=True) -> list[EvalReport]:
     """One EvalReport per gate override, from one forward pass per instance.
 
     Later overrides re-gate the first one's trace.  Under two-pass
     inference the first passes share it the same way; the second pass
-    runs per override, as its input depends on the first pass's output.
+    runs per override, as its input depends on the first pass's output,
+    and its trace is the one scored.
     """
     if protocol not in ("oracle", "standard"):
         raise ConfigError(f"unknown protocol {protocol!r}")
@@ -250,19 +258,20 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
         occluded = inst.occluded
         has_occluded = occluded.any()
 
-        trace = first = None
+        first = None
         for k, override in enumerate(overrides):
-            if not is_model:
-                amodal_pred, occ_pred = model(inst.image, v_input)
-            elif use_two_pass:
+            if is_model:
                 first = (model.forward(inst.image, v_input, override) if first is None
                          else model.regate(first, override))
-                tp = _second_pass(model, v_input, first, threshold, override)
-                amodal_pred, occ_pred = tp.amodal, tp.occluded
-            else:
-                trace = (model.forward(inst.image, v_input, override) if trace is None
-                         else model.regate(trace, override))
+                trace = (_second_pass(model, v_input, first, threshold, override)[0]
+                         if use_two_pass else first)
                 amodal_pred, occ_pred = _masks(trace, threshold)
+                mean_gate = float(trace.gate.mean())
+                if tallies[k] is not None:
+                    tallies[k].add(inst.occ_ratio, trace.gate, trace.sdf_tokens, trace.proto_attn)
+            else:
+                amodal_pred, occ_pred = model(inst.image, v_input)
+                mean_gate = None
 
             if use_postprocess:
                 amodal_pred = postprocess_union(amodal_pred, v_input)
@@ -272,13 +281,6 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
 
             full_iou = iou(amodal_pred, inst.amodal)
             occ_iou = iou(occ_pred, occluded) if has_occluded else None
-
-            mean_gate = None
-            if trace is not None:
-                gate_vals = trace.gate
-                mean_gate = float(gate_vals.mean())
-                if tallies[k] is not None:
-                    tallies[k].add(inst.occ_ratio, gate_vals, trace.sdf_tokens, trace.proto_attn)
 
             rows[k].append(
                 {
@@ -315,8 +317,6 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
             rows=rows[k],
             occ_strata=stratify(rows[k], "occ_ratio", OCC_BINS),
             vm_strata=stratify(rows[k], "vm_iou", VM_BINS) if protocol == "standard" else [],
-            config=config_echo,
-            version=version,
         )
         if tallies[k] is not None and tallies[k].n:
             report.gate_stats = tallies[k].gate_stats()

@@ -91,14 +91,6 @@ class BinaryMask:
         arr.flags.writeable = False
         return arr
 
-    @property
-    def h(self) -> int:
-        return self.shape[0]
-
-    @property
-    def w(self) -> int:
-        return self.shape[1]
-
     def count(self) -> int:
         return _popcount(self.bits)
 
@@ -116,7 +108,7 @@ class BinaryMask:
         return hash((self.shape, self.bits.tobytes()))
 
     def __repr__(self):
-        return f"BinaryMask({self.h}x{self.w}, {self.count()} true)"
+        return f"BinaryMask({self.shape[0]}x{self.shape[1]}, {self.count()} true)"
 
 
 def _popcount(bits: np.ndarray) -> int:
@@ -300,14 +292,6 @@ class SdfField:
     values: np.ndarray
     diagonal: float
     normalized: np.ndarray = field(repr=False)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 def sdf(mask: BinaryMask) -> SdfField:

@@ -158,8 +158,6 @@ class ForwardTrace:
     # the tail after the gate; None until GraspModel.regate fills it
     gate: Optional[Tensor] = None  # per-token gate in (0, 1), or the override constant
     injected: Optional[Tensor] = None  # fused + gate * residual
-    occ_branch: Optional[Tensor] = None
-    amodal_branch: Optional[Tensor] = None
     logits_occ: Optional[Tensor] = None  # (H, W)
     logits_amodal: Optional[Tensor] = None  # (H, W)
 
@@ -455,8 +453,7 @@ class GraspModel:
                                                gate_override)
         occ_branch, amodal_branch = self.decode_branches(injected)
         logits_occ, logits_amodal = self.heads_from_branches(occ_branch, amodal_branch)
-        return replace(trace, gate=effective_gate, injected=injected, occ_branch=occ_branch,
-                       amodal_branch=amodal_branch, logits_occ=logits_occ,
+        return replace(trace, gate=effective_gate, injected=injected, logits_occ=logits_occ,
                        logits_amodal=logits_amodal)
 
     # -- reporting -------------------------------------------------------

@@ -403,16 +403,7 @@ class DatasetManifest:
     instances: list
 
     def to_dict(self) -> dict:
-        return {
-            "format": DATASET_FORMAT,
-            "height": self.height,
-            "width": self.width,
-            "count": self.count,
-            "split": self.split,
-            "base_seed": self.base_seed,
-            "config": self.config,
-            "instances": self.instances,
-        }
+        return {"format": DATASET_FORMAT, **asdict(self)}
 
 
 def _names(i: int) -> tuple[str, str, str]:

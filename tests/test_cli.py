@@ -170,6 +170,23 @@ def test_train_flag_overrides_config_steps(tmp_path, capsys):
     assert "trained 2 steps" in capsys.readouterr().out
 
 
+def test_a_flag_never_hides_a_bad_file_value(tmp_path, capsys):
+    data = _gen(tmp_path, "data", n=4, config=_write_config(tmp_path))
+    capsys.readouterr()
+    for section, value, argv in (
+        ("train", {"steps": "x"}, ["train", "--data", str(data), "--out",
+                                   str(tmp_path / "t.ckpt"), "--steps", "1"]),
+        ("scene", {"size": -1}, ["gen", "--out", str(tmp_path / "g"), "--n", "2",
+                                 "--size", "16"]),
+    ):
+        path = tmp_path / f"{section}.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, section: value}), encoding="utf-8")
+        assert main(argv + ["--config", str(path)]) == 1, section
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:ConfigError:"), (section, lines)
+    assert not (tmp_path / "t.ckpt").exists() and not (tmp_path / "g").exists()
+
+
 def test_train_creates_its_output_directories(tmp_path, monkeypatch, capsys):
     fresh = tmp_path / "fresh"
     fresh.mkdir()

@@ -14,6 +14,7 @@ from grasp.errors import ConfigError, DimensionError
 from grasp.evalkit import (
     OCC_BINS,
     VM_BINS,
+    _MechanismTally,
     _position_selections,
     ablate,
     attention_stats,
@@ -317,13 +318,35 @@ def test_two_pass_falls_back_when_self_estimate_is_empty():
     assert not tp.amodal.any()
 
 
-def test_two_pass_evaluation_skips_gate_stats():
-    model = GraspModel(SMALL, seed=0)
-    insts = _scene16(0)
-    report = evaluate(model, insts, "oracle", use_two_pass=True, collect_stats=True)
-    assert report.two_pass is True
-    assert all(r["mean_gate"] is None for r in report.rows)
-    assert report.gate_stats is None and report.attention_stats is None
+@pytest.mark.parametrize("protocol", ["oracle", "standard"])
+def test_two_pass_evaluation_reports_the_second_pass_mechanism(protocol):
+    learned = _jittered()
+    # pass one predicts no amodal pixel, so every second pass falls back to the input mask
+    drowned = _jittered()
+    drowned.params.groups["decoder"]["head_amodal_b"].data[...] = -50.0
+    insts = [inst for seed in range(6) for inst in _scene16(seed)]
+    for model in (learned, drowned):
+        report = evaluate(model, insts, protocol, use_two_pass=True, eval_seed=3)
+        assert report.two_pass is True
+        # the scored pass, built by hand: regate(prefix(first tokens, v_ref)) with the fallback
+        net = model.untaped()
+        tally = _MechanismTally(net.config.grid)
+        fallbacks = []
+        for index, (inst, row) in enumerate(zip(insts, report.rows)):
+            v_input = (perturb_vm(inst.visible, derive_seed(3, "eval-vm", index))
+                       if protocol == "standard" else inst.visible)
+            first = net.forward(inst.image, v_input)
+            v_ref = mask_diff(BinaryMask(first.logits_amodal > 0),
+                              BinaryMask(first.logits_occ > 0))
+            fallbacks.append(not v_ref.any())
+            second = net.regate(net.prefix(first.tokens, v_input if fallbacks[-1] else v_ref))
+            tally.add(inst.occ_ratio, second.gate, second.sdf_tokens, second.proto_attn)
+            assert row["mean_gate"] == float(second.gate.mean())
+        assert fallbacks == [model is drowned] * len(insts)
+        assert json.dumps(report.gate_stats) == json.dumps(tally.gate_stats())
+        assert json.dumps(report.attention_stats) == json.dumps(tally.attention_stats())
+    # the fallback masks are real shapes, so their attention splits into both groups
+    assert report.attention_stats["n_instances"] > 0
 
 
 # -- gate override plumbing ---------------------------------------------------
@@ -616,8 +639,9 @@ def test_jsd_shape_mismatch_raises():
 
 def test_report_json_round_trip(tmp_path):
     insts, preds = _trio()
-    report = evaluate(_stub(preds), insts, "oracle", config_echo={"note": "stub"},
-                      version="0.1.0")
+    report = evaluate(_stub(preds), insts, "oracle")
+    assert report.config is None and report.version is None
+    report.config, report.version = {"note": "stub"}, "0.1.0"
     path = tmp_path / "report.json"
     report.to_json(path)
     loaded = json.loads(path.read_text(encoding="utf-8"))
