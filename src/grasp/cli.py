@@ -2,10 +2,17 @@
 
 Subcommands: gen, train, eval, ablate, probe, stats, sdf.  gen and
 train accept --config JSON_FILE; explicit flags override config file
-values, which are checked first.  Outputs embed the resolved
-configuration and the package version.  Exit codes: 0 success, 1 I/O,
+values, which are checked first.  Exit codes: 0 success, 1 I/O,
 data-integrity or out-of-memory failure (one machine-parsable line on
 stderr), 2 usage error.
+
+The library computes and returns values; this module writes every
+report file from them.  JSON is written indent-1 with sorted keys and a
+trailing newline.  A CSV cell is empty for None, a string as it is, and
+a number as its shortest round-trip repr.  The eval, probe and stats
+JSON embed ``config`` (the command, its seed and the model
+configuration) and ``version``; ``sdf_meta.json`` embeds ``version``;
+no CSV embeds either.
 """
 
 from __future__ import annotations
@@ -22,11 +29,10 @@ import numpy as np
 
 from . import __version__, evalkit, probe as probe_mod
 from .errors import ConfigError, GraspError, parse_json_object
-from .geometry import read_mask, sdf, sdf_to_csv, sdf_to_pgm
-from .model import GraspConfig, GraspModel, load_checkpoint
+from .geometry import read_mask, sdf
+from .model import GraspConfig, GraspModel, gate_of, load_checkpoint
 from .pgm import write_pgm
 from .synthdata import SceneConfig, generate_dataset, read_dataset, write_dataset
-from .tensor import sigmoid
 from .training import TrainConfig, train
 
 
@@ -45,19 +51,34 @@ def _load_config_file(path) -> dict:
     return config
 
 
-def _run_config(args, sections: dict) -> dict:
-    return {
-        "version": __version__,
-        "command": args.command,
-        "seed": getattr(args, "seed", None),
-        **sections,
-    }
+def _echo(args, model) -> dict:
+    """The ``config`` and ``version`` keys of a report on ``model``."""
+    config = {"version": __version__, "command": args.command,
+              "seed": getattr(args, "seed", None), "model": model.config.to_dict()}
+    return {"config": config, "version": __version__}
 
 
 def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return repr(int(value))
+    return repr(float(value))
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -106,11 +127,11 @@ def cmd_eval(args) -> int:
         eval_seed=args.seed,
         occ_metric=args.occ_metric,
     )
-    report.config = _run_config(args, {"model": model.config.to_dict()})
-    report.version = __version__
     os.makedirs(args.out, exist_ok=True)
-    report.to_json(os.path.join(args.out, "report.json"))
-    report.to_csv(os.path.join(args.out, "report.csv"))
+    _write_json(os.path.join(args.out, "report.json"), {**report.to_dict(), **_echo(args, model)})
+    columns = ("index", "shape_class", "occ_ratio", "vm_iou", "full_iou", "occ_iou", "mean_gate")
+    _write_csv(os.path.join(args.out, "report.csv"), columns,
+               ([row[c] for c in columns] for row in report.rows))
     occ = "n/a" if report.occ_miou is None else f"{report.occ_miou:.4f}"
     print(f"{report.protocol}: full mIoU {report.full_miou:.4f}, occ mIoU {occ} "
           f"({report.n_instances} instances, {report.n_occluded} occluded)")
@@ -126,15 +147,11 @@ def cmd_ablate(args) -> int:
         use_postprocess=args.pp, threshold=args.threshold,
     ):
         label = "none" if override is None else repr(override)
-        occ = "" if report.occ_miou is None else repr(report.occ_miou)
-        rows.append((label, repr(report.full_miou), occ))
+        rows.append((label, report.full_miou, report.occ_miou))
         print(f"gate={label}: full mIoU {report.full_miou:.4f}, "
               f"occ mIoU {report.occ_miou if report.occ_miou is None else round(report.occ_miou, 4)}")
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write("gate_override,full_miou,occ_miou\n")
-        for label, full, occ in rows:
-            fh.write(f"{label},{full},{occ}\n")
+    _write_csv(args.out, ("gate_override", "full_miou", "occ_miou"), rows)
     return 0
 
 
@@ -145,13 +162,10 @@ def cmd_probe(args) -> int:
         model, instances, lam=args.ridge_lambda, seed=args.seed, test_frac=args.test_frac
     )
     os.makedirs(args.out, exist_ok=True)
-    probe_mod.write_probe_outputs(
-        report,
-        os.path.join(args.out, "probe.json"),
-        os.path.join(args.out, "probe_pairs.csv"),
-        config_echo=_run_config(args, {"model": model.config.to_dict()}),
-        version=__version__,
-    )
+    payload = {k: v for k, v in report.items() if k != "pairs"}
+    _write_json(os.path.join(args.out, "probe.json"), {**payload, **_echo(args, model)})
+    _write_csv(os.path.join(args.out, "probe_pairs.csv"), ("true_sdf", "predicted_sdf"),
+               report["pairs"])
     for name, res in report["results"].items():
         r2 = "undefined" if res["r2"] is None else f"{res['r2']:.4f}"
         print(f"{name}: R^2 {r2}, sign accuracy {res['sign_accuracy']:.4f}")
@@ -163,13 +177,7 @@ def cmd_stats(args) -> int:
     _, instances = read_dataset(args.data)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     gate, attention = evalkit.mechanism_stats(model, instances)
-    payload = {
-        "gate": gate,
-        "attention": attention,
-        "config": _run_config(args, {"model": model.config.to_dict()}),
-        "version": __version__,
-    }
-    _write_json(args.out, payload)
+    _write_json(args.out, {"gate": gate, "attention": attention, **_echo(args, model)})
     print(f"wrote mechanism stats to {args.out}")
     return 0
 
@@ -181,9 +189,13 @@ def cmd_sdf(args) -> int:
     mask = read_mask(args.mask)
     field = sdf(mask)
     os.makedirs(args.out, exist_ok=True)
-    sdf_to_csv(field, os.path.join(args.out, "sdf.csv"))
-    sdf_to_pgm(field, os.path.join(args.out, "sdf.pgm"))
-    gate = sigmoid(args.alpha * field.normalized + args.beta)
+    _write_csv(os.path.join(args.out, "sdf.csv"), ("y", "x", "distance", "normalized"),
+               ((y, x, field.values[y, x], field.normalized[y, x])
+                for y, x in np.ndindex(field.values.shape)))
+    # heatmap of the normalized field: -1 -> 0, 0 -> 128, +1 -> 255
+    write_pgm(os.path.join(args.out, "sdf.pgm"),
+              np.clip(np.rint((field.normalized + 1.0) * 127.5), 0, 255).astype(np.uint8))
+    gate = gate_of(args.alpha, args.beta, field.normalized)
     write_pgm(os.path.join(args.out, "gate.pgm"),
               np.clip(np.rint(gate * 255.0), 0, 255).astype(np.uint8))
     _write_json(
@@ -268,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output JSON path")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("sdf", help="export the SDF and gate heatmap of a mask")

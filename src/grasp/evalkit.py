@@ -30,7 +30,6 @@ attention maps, gate or SDF tokens.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -133,34 +132,9 @@ class EvalReport:
     vm_strata: list = field(repr=False)
     gate_stats: Optional[dict] = None
     attention_stats: Optional[dict] = None
-    config: Optional[dict] = None
-    version: Optional[str] = None
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-    def to_csv(self, path) -> None:
-        cols = ["index", "shape_class", "occ_ratio", "vm_iou", "full_iou", "occ_iou",
-                "mean_gate"]
-
-        def cell(v):
-            if v is None:
-                return ""
-            if isinstance(v, str):
-                return v
-            if isinstance(v, (int, np.integer)):
-                return repr(int(v))
-            return repr(float(v))
-
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in self.rows:
-                fh.write(",".join(cell(row[c]) for c in cols) + "\n")
 
 
 def _bin_index(bins, value: float) -> Optional[int]:
@@ -219,8 +193,7 @@ def evaluate(model, instances: list[SceneInstance], protocol: str = "oracle", *,
     inference.  Any callable ``(image, v_input) -> (amodal_mask,
     occluded_mask)`` also works (``mean_gate`` and the mechanism stats
     are then skipped), which keeps the metric plumbing testable against
-    stub predictors with hand-computable IoUs.  The report's ``config``
-    and ``version`` are left for the caller to fill.
+    stub predictors with hand-computable IoUs.
     """
     return _sweep(model, instances, protocol, (gate_override,), use_postprocess=use_postprocess,
                   use_two_pass=use_two_pass, threshold=threshold, eval_seed=eval_seed,

@@ -341,21 +341,3 @@ def read_mask(path) -> BinaryMask:
     if bad.any():
         raise IntegrityError(f"{path}: mask PGM has levels other than 0 and 255")
     return BinaryMask(values == 255)
-
-
-def sdf_to_csv(field: SdfField, path) -> None:
-    """One CSV row per pixel: y, x, signed distance, normalized distance."""
-    h, w = field.values.shape
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("y,x,distance,normalized\n")
-        for y in range(h):
-            row_v = field.values[y]
-            row_n = field.normalized[y]
-            for x in range(w):
-                fh.write(f"{y},{x},{float(row_v[x])!r},{float(row_n[x])!r}\n")
-
-
-def sdf_to_pgm(field: SdfField, path) -> None:
-    """Heatmap of the normalized field: -1 -> 0, 0 -> 128, +1 -> 255."""
-    levels = np.clip(np.rint((field.normalized + 1.0) * 127.5), 0, 255).astype(np.uint8)
-    pgm.write_pgm(path, levels)

@@ -127,6 +127,14 @@ def _check_gate_override(value) -> None:
         raise ConfigError(f"gate override {value!r} is not None or a number in [0, 1]")
 
 
+def gate_of(alpha, beta, distance):
+    """The reliability gate sigmoid(alpha * distance + beta).
+
+    Taped when any operand is a Tensor, on plain arrays otherwise.
+    """
+    return T.sigmoid(T.add(T.mul(alpha, distance), beta))
+
+
 def applied_gate(gate, gate_override: Optional[float]):
     """The gate that inject applies: the learned ``gate``, or the override's constant.
 
@@ -374,7 +382,7 @@ class GraspModel:
     def gate(self, sdf_tok: np.ndarray) -> Tensor:
         """Per-token sigmoid gate over normalized signed distance."""
         g = self.params.groups["gate"]
-        return T.sigmoid(T.add(T.mul(g["alpha"], sdf_tok), g["beta"]))
+        return gate_of(g["alpha"], g["beta"], sdf_tok)
 
     def inject(self, fused: Tensor, prior: Tensor, residual: Tensor, gate: Tensor,
                gate_override: Optional[float]) -> tuple[Tensor, Tensor]:

@@ -10,9 +10,8 @@ come from unseen scenes.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -100,19 +99,11 @@ class ProbeResult:
     n_train_tokens: int
     n_test_tokens: int
     r2: Optional[float]
-    sign_acc: float
+    sign_accuracy: float
     r2_defined: bool
 
     def to_dict(self) -> dict:
-        return {
-            "position": self.position,
-            "lam": self.lam,
-            "n_train_tokens": self.n_train_tokens,
-            "n_test_tokens": self.n_test_tokens,
-            "r2": self.r2,
-            "sign_accuracy": self.sign_acc,
-            "r2_defined": self.r2_defined,
-        }
+        return asdict(self)
 
 
 def split_instances(n_instances: int, seed: int, test_frac: float = 0.2):
@@ -145,7 +136,7 @@ def _fit(position, x, y, in_train, in_test, lam):
         n_train_tokens=int(in_train.sum()),
         n_test_tokens=int(in_test.sum()),
         r2=r2,
-        sign_acc=sign_accuracy(true, pred),
+        sign_accuracy=sign_accuracy(true, pred),
         r2_defined=r2 is not None,
     )
     return result, true, pred
@@ -185,19 +176,3 @@ def probe_report(model: GraspModel, instances, lam: float = 1.0, seed: int = 0,
         "seed": seed,
         "test_frac": test_frac,
     }
-
-
-def write_probe_outputs(report: dict, json_path, pairs_csv_path,
-                        config_echo: Optional[dict] = None, version: Optional[str] = None):
-    payload = {k: v for k, v in report.items() if k != "pairs"}
-    payload["config"] = config_echo
-    payload["version"] = version
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    pairs = report["pairs"]
-    with open(pairs_csv_path, "w", encoding="ascii") as fh:
-        fh.write("true_sdf,predicted_sdf\n")
-        if pairs is not None:
-            for t, p in pairs:
-                fh.write(f"{float(t)!r},{float(p)!r}\n")

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from conftest import count_model_calls
-from grasp import __version__, evalkit
+from grasp import __version__, evalkit, probe
 from grasp.cli import build_parser, main
 from grasp.errors import _FIELD_TYPES
-from grasp.geometry import BinaryMask, write_mask
-from grasp.model import GraspConfig, GraspModel, param_layout, save_checkpoint
+from grasp.geometry import BinaryMask, read_mask, sdf, write_mask
+from grasp.model import GraspConfig, GraspModel, load_checkpoint, param_layout, save_checkpoint
 from grasp.pgm import read_pgm
 from grasp.synthdata import SceneConfig, generate_scene, perturb_vm, read_dataset
 from grasp.training import TrainConfig
@@ -438,7 +438,7 @@ def test_stats_json_keeps_its_bytes_from_one_sdf_per_instance(tmp_path, capsys, 
     # the payload the separate gate and attention passes give
     want = {"gate": evalkit.gate_stats(model, instances),
             "attention": evalkit.attention_stats(model, instances),
-            "config": {"version": __version__, "command": "stats", "seed": 0,
+            "config": {"version": __version__, "command": "stats", "seed": None,
                        "model": model.config.to_dict()},
             "version": __version__}
     calls = count_model_calls(monkeypatch, "sdf_tokens")
@@ -446,6 +446,127 @@ def test_stats_json_keeps_its_bytes_from_one_sdf_per_instance(tmp_path, capsys, 
     assert main(["stats", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)]) == 0
     assert calls == {"sdf_tokens": len(instances)}
     assert out.read_text() == json.dumps(want, indent=1, sort_keys=True) + "\n"
+    capsys.readouterr()
+
+
+# -- report files -------------------------------------------------------------
+
+
+def _data_and_checkpoint(tmp_path):
+    """A four-instance dataset (two unoccluded) and an untrained checkpoint."""
+    data = _gen(tmp_path, "data", n=4, config=_write_config(tmp_path))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0))
+    return data, ckpt
+
+
+def _config_echo(command, seed, model):
+    return {"version": __version__, "command": command, "seed": seed,
+            "model": model.config.to_dict()}
+
+
+def test_report_json_round_trip(tmp_path, capsys):
+    data, ckpt = _data_and_checkpoint(tmp_path)
+    out = tmp_path / "rep"
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out),
+                 "--seed", "3"]) == 0
+    capsys.readouterr()
+    loaded = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    model, _ = load_checkpoint(ckpt)
+    _, instances = read_dataset(data)
+    assert loaded.pop("config") == _config_echo("eval", 3, model)
+    assert loaded.pop("version") == __version__
+    assert loaded == evalkit.evaluate(model, instances, "oracle", eval_seed=3).to_dict()
+    assert [row["occ_iou"] is None for row in loaded["rows"]] == [True, False, False, True]
+
+
+def test_model_report_json_has_no_numpy_leaks(tmp_path, capsys):
+    # json.dump rejects numpy scalars, so a clean dump proves native types
+    data, ckpt = _data_and_checkpoint(tmp_path)
+    out = tmp_path / "rep"
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out),
+                 "--protocol", "standard"]) == 0
+    capsys.readouterr()
+    loaded = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert loaded["gate_stats"] is not None
+    assert loaded["attention_stats"] is not None
+
+
+def test_report_csv_cells_round_trip(tmp_path, capsys):
+    data, ckpt = _data_and_checkpoint(tmp_path)
+    out = tmp_path / "rep"
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads((out / "report.json").read_text(encoding="utf-8"))["rows"]
+    lines = (out / "report.csv").read_text(encoding="ascii").splitlines()
+    assert lines[0] == "index,shape_class,occ_ratio,vm_iou,full_iou,occ_iou,mean_gate"
+    assert len(lines) == 1 + len(rows) == 5
+    for line, row in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert int(cells[0]) == row["index"]
+        assert cells[1] == row["shape_class"]
+        assert float(cells[2]) == row["occ_ratio"]
+        assert cells[3] == ""  # oracle: vm_iou is None
+        assert float(cells[4]) == row["full_iou"]
+        assert cells[5] == ("" if row["occ_iou"] is None else repr(row["occ_iou"]))
+        assert float(cells[6]) == row["mean_gate"]
+
+
+def test_probe_outputs_round_trip(tmp_path, capsys):
+    data, ckpt = _data_and_checkpoint(tmp_path)
+    out = tmp_path / "probe"
+    assert main(["probe", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)]) == 0
+    capsys.readouterr()
+    model, _ = load_checkpoint(ckpt)
+    _, instances = read_dataset(data)
+    report = probe.probe_report(model, instances)
+
+    loaded = json.loads((out / "probe.json").read_text(encoding="utf-8"))
+    assert "pairs" not in loaded
+    assert loaded.pop("config") == _config_echo("probe", 0, model)
+    assert loaded.pop("version") == __version__
+    assert loaded == {k: v for k, v in report.items() if k != "pairs"}
+    assert set(loaded["results"]) == set(probe.POSITIONS)
+
+    lines = (out / "probe_pairs.csv").read_text(encoding="ascii").splitlines()
+    assert lines[0] == "true_sdf,predicted_sdf"
+    assert len(lines) == 1 + report["pairs"].shape[0]
+    for line, (t, p) in zip(lines[1:], report["pairs"]):
+        ct, cp = line.split(",")
+        assert float(ct) == t and float(cp) == p
+
+
+def test_sdf_csv_round_trips_through_repr(tmp_path, capsys):
+    arr = np.zeros((3, 4), dtype=bool)
+    arr[1, 1:3] = True
+    write_mask(tmp_path / "m.pgm", BinaryMask(arr))
+    assert main(["sdf", "--mask", str(tmp_path / "m.pgm"), "--out", str(tmp_path / "sdf")]) == 0
+    capsys.readouterr()
+    field = sdf(BinaryMask(arr))
+    lines = (tmp_path / "sdf" / "sdf.csv").read_text(encoding="ascii").splitlines()
+    assert lines[0] == "y,x,distance,normalized"
+    assert len(lines) == 1 + 12
+    for line in lines[1:]:
+        y, x, dist, norm = line.split(",")
+        assert float(dist) == field.values[int(y), int(x)]
+        assert float(norm) == field.normalized[int(y), int(x)]
+
+
+def test_sdf_pgm_heatmap_mapping(tmp_path, capsys):
+    arr = np.zeros((3, 3), dtype=bool)
+    arr[1, 1] = True
+    # the degenerate fields pin the ends of the gray ramp
+    for name, mask, ends in (("dot", BinaryMask(arr), None), ("empty", BinaryMask.zeros(2, 2), 255),
+                             ("full", BinaryMask.full(2, 2), 0)):
+        write_mask(tmp_path / f"{name}.pgm", mask)
+        out = tmp_path / name
+        assert main(["sdf", "--mask", str(tmp_path / f"{name}.pgm"), "--out", str(out)]) == 0
+        levels = read_pgm(out / "sdf.pgm")
+        field = sdf(read_mask(tmp_path / f"{name}.pgm"))
+        want = np.clip(np.rint((field.normalized + 1.0) * 127.5), 0, 255).astype(np.uint8)
+        assert np.array_equal(levels, want), name
+        if ends is not None:
+            assert np.all(levels == ends), name
     capsys.readouterr()
 
 

@@ -1,6 +1,6 @@
 """Evaluation plumbing: metrics against hand-computable stub predictors,
-protocols, stratification, mechanism statistics, the gate ablation grid,
-and report serialization."""
+protocols, stratification, mechanism statistics and the gate ablation
+grid."""
 
 import json
 import math
@@ -632,57 +632,6 @@ def test_jsd_symmetric_and_bounded():
 def test_jsd_shape_mismatch_raises():
     with pytest.raises(DimensionError):
         js_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.25, 0.25]))
-
-
-# -- report serialization -----------------------------------------------------
-
-
-def test_report_json_round_trip(tmp_path):
-    insts, preds = _trio()
-    report = evaluate(_stub(preds), insts, "oracle")
-    assert report.config is None and report.version is None
-    report.config, report.version = {"note": "stub"}, "0.1.0"
-    path = tmp_path / "report.json"
-    report.to_json(path)
-    loaded = json.loads(path.read_text(encoding="utf-8"))
-    assert loaded["protocol"] == "oracle"
-    assert loaded["full_miou"] == report.full_miou
-    assert loaded["occ_miou"] == report.occ_miou
-    assert len(loaded["rows"]) == 3
-    assert loaded["rows"][0]["occ_iou"] is None
-    assert loaded["config"] == {"note": "stub"}
-    assert loaded["version"] == "0.1.0"
-
-
-def test_model_report_json_has_no_numpy_leaks(tmp_path):
-    # json.dump rejects numpy scalars, so a clean dump proves native types
-    model = GraspModel(SMALL, seed=0)
-    report = evaluate(model, _scene16(0), "standard", collect_stats=True)
-    path = tmp_path / "report.json"
-    report.to_json(path)
-    loaded = json.loads(path.read_text(encoding="utf-8"))
-    assert loaded["gate_stats"] is not None
-    assert loaded["attention_stats"] is not None
-
-
-def test_report_csv_cells_round_trip(tmp_path):
-    insts, preds = _trio()
-    report = evaluate(_stub(preds), insts, "oracle")
-    path = tmp_path / "rows.csv"
-    report.to_csv(path)
-    lines = path.read_text(encoding="ascii").splitlines()
-    assert lines[0] == "index,shape_class,occ_ratio,vm_iou,full_iou,occ_iou,mean_gate"
-    assert len(lines) == 4
-    for line, row in zip(lines[1:], report.rows):
-        cells = line.split(",")
-        assert int(cells[0]) == row["index"]
-        assert cells[1] == row["shape_class"]
-        assert float(cells[2]) == row["occ_ratio"]
-        assert cells[3] == ""  # oracle: vm_iou is None
-        assert float(cells[4]) == row["full_iou"]
-        assert cells[6] == ""  # stub: mean_gate is None
-    assert lines[1].split(",")[5] == ""  # unoccluded: occ_iou empty
-    assert float(lines[2].split(",")[5]) == 1.0
 
 
 @pytest.mark.parametrize("value", [float("nan"), 2.0])

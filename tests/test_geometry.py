@@ -15,8 +15,6 @@ from grasp.geometry import (
     pool_to_grid,
     read_mask,
     sdf,
-    sdf_to_csv,
-    sdf_to_pgm,
     write_mask,
 )
 from grasp.pgm import read_pgm, write_pgm
@@ -517,37 +515,3 @@ def test_read_mask_rejects_intermediate_levels(tmp_path):
     write_pgm(p, np.array([[0, 128], [255, 0]], dtype=np.uint8))
     with pytest.raises(IntegrityError):
         read_mask(p)
-
-
-# -- SDF export ---------------------------------------------------------------
-
-
-def test_sdf_csv_round_trips_through_repr(tmp_path):
-    arr = np.zeros((3, 4), dtype=bool)
-    arr[1, 1:3] = True
-    field = sdf(BinaryMask(arr))
-    p = tmp_path / "f.csv"
-    sdf_to_csv(field, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "y,x,distance,normalized"
-    assert len(lines) == 1 + 12
-    for line in lines[1:]:
-        y, x, dist, norm = line.split(",")
-        assert float(dist) == field.values[int(y), int(x)]
-        assert float(norm) == field.normalized[int(y), int(x)]
-
-
-def test_sdf_pgm_heatmap_mapping(tmp_path):
-    arr = np.zeros((3, 3), dtype=bool)
-    arr[1, 1] = True
-    field = sdf(BinaryMask(arr))
-    p = tmp_path / "f.pgm"
-    sdf_to_pgm(field, p)
-    levels = read_pgm(p)
-    want = np.clip(np.rint((field.normalized + 1.0) * 127.5), 0, 255).astype(np.uint8)
-    assert np.array_equal(levels, want)
-    # degenerate fields pin the ends of the gray ramp
-    sdf_to_pgm(sdf(BinaryMask.zeros(2, 2)), p)
-    assert np.all(read_pgm(p) == 255)
-    sdf_to_pgm(sdf(BinaryMask.full(2, 2)), p)
-    assert np.all(read_pgm(p) == 0)

@@ -3,11 +3,16 @@
 One pipeline runs every subcommand in a fresh working directory.  Every
 path on its command lines is relative, so no absolute path reaches an
 output, and the sha256 of each output is pinned.  A change that moves
-any of these bytes has to update the pin on purpose and say why.
+any of these bytes has to update the pin on purpose and say why.  Every
+JSON and CSV output is also held to the one layout its writers share.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+
+import pytest
 
 from grasp.cli import main
 
@@ -40,7 +45,7 @@ GOLDEN = {
     "eval_two_pass": "f867bdf5e0636ec168583147c367b2c4592bbcbe4032f95e5a29e6980008503b",
     "ablate.csv": "59576d8b4bc81b306c01eab36b5d1868b642091ec02da2ed068f53606ae174f1",
     "probe": "d28253ee2472769318ddca29da911a9d4a110268708534b971faad5ded433aca",
-    "stats.json": "0371a863efc1135bd0bd247f208912d80273b627c9762e7dde9519917f3d7416",
+    "stats.json": "92875dddb0f1251f53de6a49c4606801946ca11d121a7c4f1ea09aa8c1c0ff86",
     "sdf": "0db59659f5d496e249c2fb9bb9000407b382903731fdb479bffc42551d63bc23",
 }
 
@@ -57,11 +62,36 @@ def _digest(path):
     return digest.hexdigest()
 
 
-def test_every_cli_output_keeps_its_bytes(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
-    for argv in COMMANDS:
-        assert main(argv) == 0, argv
-    capsys.readouterr()
-    got = {name: _digest(tmp_path / name) for name in GOLDEN}
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    """The working directory after every command of the pipeline has run."""
+    work = tmp_path_factory.mktemp("golden")
+    (work / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.chdir(work)
+        for argv in COMMANDS:
+            assert main(argv) == 0, argv
+    return work
+
+
+def test_every_cli_output_keeps_its_bytes(work):
+    got = {name: _digest(work / name) for name in GOLDEN}
     assert got == GOLDEN, sorted(name for name in GOLDEN if got[name] != GOLDEN[name])
+
+
+def test_every_json_and_csv_output_has_the_one_layout(work):
+    paths = [path for name in GOLDEN
+             for path in ([work / name] if (work / name).is_file() else (work / name).iterdir())]
+    jsons = [path for path in paths if path.suffix == ".json"]
+    csvs = [path for path in paths if path.suffix == ".csv"]
+    assert sorted(path.name for path in jsons) == [
+        "manifest.json", "probe.json", "report.json", "report.json", "report.json",
+        "sdf_meta.json", "stats.json"]
+    assert len(csvs) == 7  # loss, three reports, ablate, probe pairs, sdf
+    for path in jsons:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n", path
+    for path in csvs:
+        lines = path.read_bytes().decode("ascii").splitlines()
+        assert len(lines) > 1, path
+        assert {line.count(",") for line in lines} == {lines[0].count(",")}, path

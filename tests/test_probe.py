@@ -1,8 +1,7 @@
 """Linear-probe machinery: the ridge solver against an independent
 least-squares oracle, planted-signal recovery, instance-level splits,
-probe positions, and report serialization."""
+and probe positions."""
 
-import json
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from grasp.probe import (
     ridge_fit,
     sign_accuracy,
     split_instances,
-    write_probe_outputs,
 )
 from grasp.synthdata import SceneConfig, generate_scene
 
@@ -242,7 +240,7 @@ def test_probe_position_splits_tokens_by_instance():
     assert result.n_train_tokens + result.n_test_tokens == len(insts) * SMALL.tokens
     assert true.shape == pred.shape == (result.n_test_tokens,)
     assert result.r2_defined == (result.r2 is not None)
-    assert 0.0 <= result.sign_acc <= 1.0
+    assert 0.0 <= result.sign_accuracy <= 1.0
 
 
 def test_random_baseline_probe_has_no_skill():
@@ -282,40 +280,3 @@ def test_probe_report_pairs_follow_requested_position():
     report = probe_report(model, insts, seed=0)
     _, true, pred = probe_position(model, insts, "post_fusion", seed=0)
     assert np.array_equal(report["pairs"], np.stack([true, pred], axis=1))
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def test_write_probe_outputs_round_trip(tmp_path):
-    model = GraspModel(SMALL, seed=0)
-    insts = _instances(4)
-    report = probe_report(model, insts, seed=0)
-    jpath = tmp_path / "probe.json"
-    cpath = tmp_path / "pairs.csv"
-    write_probe_outputs(report, jpath, cpath, config_echo={"n": 8}, version="0.1.0")
-
-    loaded = json.loads(jpath.read_text(encoding="utf-8"))
-    assert "pairs" not in loaded
-    assert loaded["config"] == {"n": 8} and loaded["version"] == "0.1.0"
-    assert set(loaded["results"]) == set(POSITIONS)
-    assert loaded["delta_r2_fusion"] == report["delta_r2_fusion"]
-    assert loaded["results"]["pre_fusion"]["r2"] == report["results"]["pre_fusion"]["r2"]
-
-    lines = cpath.read_text(encoding="ascii").splitlines()
-    assert lines[0] == "true_sdf,predicted_sdf"
-    assert len(lines) == 1 + report["pairs"].shape[0]
-    for line, (t, p) in zip(lines[1:], report["pairs"]):
-        ct, cp = line.split(",")
-        assert float(ct) == t and float(cp) == p
-
-
-def test_write_probe_outputs_with_no_pairs(tmp_path):
-    model = GraspModel(SMALL, seed=0)
-    insts = _instances(4)
-    report = dict(probe_report(model, insts, seed=0), pairs=None)
-    jpath = tmp_path / "probe.json"
-    cpath = tmp_path / "pairs.csv"
-    write_probe_outputs(report, jpath, cpath)
-    assert cpath.read_text(encoding="ascii") == "true_sdf,predicted_sdf\n"
-    assert json.loads(jpath.read_text())["version"] is None
