@@ -112,6 +112,12 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _mious(report) -> str:
+    """A report's two mIoUs as eval and ablate print them; "n/a" when none is occluded."""
+    occ = "n/a" if report.occ_miou is None else f"{report.occ_miou:.4f}"
+    return f"full mIoU {report.full_miou:.4f}, occ mIoU {occ}"
+
+
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
     _, instances = read_dataset(args.data)
@@ -132,8 +138,7 @@ def cmd_eval(args) -> int:
     columns = ("index", "shape_class", "occ_ratio", "vm_iou", "full_iou", "occ_iou", "mean_gate")
     _write_csv(os.path.join(args.out, "report.csv"), columns,
                ([row[c] for c in columns] for row in report.rows))
-    occ = "n/a" if report.occ_miou is None else f"{report.occ_miou:.4f}"
-    print(f"{report.protocol}: full mIoU {report.full_miou:.4f}, occ mIoU {occ} "
+    print(f"{report.protocol}: {_mious(report)} "
           f"({report.n_instances} instances, {report.n_occluded} occluded)")
     return 0
 
@@ -148,8 +153,7 @@ def cmd_ablate(args) -> int:
     ):
         label = "none" if override is None else repr(override)
         rows.append((label, report.full_miou, report.occ_miou))
-        print(f"gate={label}: full mIoU {report.full_miou:.4f}, "
-              f"occ mIoU {report.occ_miou if report.occ_miou is None else round(report.occ_miou, 4)}")
+        print(f"gate={label}: {_mious(report)}")
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     _write_csv(args.out, ("gate_override", "full_miou", "occ_miou"), rows)
     return 0

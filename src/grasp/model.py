@@ -434,7 +434,7 @@ class GraspModel:
         prior, residual, attn = self.spm(fused, sdf_tok)
         return ForwardTrace(tokens=tokens, mask_tokens=mask_tokens, fused=fused, prior=prior,
                             residual=residual, sdf_tokens=sdf_tok,
-                            proto_attn=np.array(T.array_of(attn)))
+                            proto_attn=T.array_of(attn))
 
     def forward(self, image: np.ndarray, visible: BinaryMask,
                 gate_override: Optional[float] = "config") -> ForwardTrace:

@@ -24,14 +24,14 @@ construction and only ever added to; call :func:`zero_grads` between
 optimizer steps.  A model's are views of one buffer, ``GraspParams.grads``.
 Interior gradients exist only inside the backward sweep.
 
-Each op's forward arithmetic, with its shape and dimension checks, is
-one plain-array function (``_<op>_arr``).  An op given no Tensor
-operand returns that function's array: no Tensor, pullback or tape is
-built, which is how inference runs the model's stages (see
-``GraspModel.untaped``).  Given a Tensor, the op coerces the other
-operands, calls the same function on the arrays and records its
-pullback, so the taped and untaped values are bit-equal by
-construction.
+Every op is one call to ``_op(forward, pull, *operands)``: ``forward``
+is its plain-array arithmetic, with its shape and dimension checks, and
+``pull(g, out, *parents)`` its pullback.  Given no Tensor operand,
+``_op`` returns ``forward``'s array and builds no Tensor, pullback or
+tape, which is how inference runs the model's stages (see
+``GraspModel.untaped``).  Given a Tensor, it makes every operand a
+Tensor, runs the same ``forward`` on their arrays and records the
+pullback, so the taped and untaped values are bit-equal by construction.
 
 Most ops are elementary, one numpy expression per parent.  Two are
 fused: ``dense`` is an affine layer and its activation in one node, and
@@ -267,27 +267,27 @@ def array_of(x):
     return x.data if isinstance(x, Tensor) else x
 
 
-def _untaped(*operands) -> bool:
-    """True when no operand is a Tensor: the op then returns its plain-array forward."""
+def _op(forward, pull, *operands):
+    """Apply one op: its plain-array ``forward``, taped with ``pull`` given a Tensor.
+
+    With no Tensor operand this is ``forward(*operands)``: no Tensor,
+    pullback or tape is built.  Otherwise every operand becomes a Tensor,
+    ``forward`` runs on their arrays, and the output records the pullback
+    ``pull(g, out, *tensors)`` (see :func:`_attach`).
+    """
     for x in operands:
         if isinstance(x, Tensor):
-            return False
-    return True
-
-
-def _coerce(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
-
-
-def _is_scalar(t: Tensor) -> bool:
-    return t.data.ndim == 0
+            break
+    else:
+        return forward(*operands)
+    tensors = tuple([x if isinstance(x, Tensor) else Tensor(x) for x in operands])
+    out = forward(*[t.data for t in tensors])
+    return _attach(out, tensors, lambda g: pull(g, out, *tensors))
 
 
 def _fit(g, t: Tensor):
     # Reduce a gradient onto a scalar operand of a broadcast op.
-    if _is_scalar(t) and np.ndim(g) != 0:
+    if t.data.ndim == 0 and np.ndim(g) != 0:
         return g.sum()
     return g
 
@@ -306,64 +306,54 @@ def _attach(arr, parents, pull):
 
 # -- arithmetic ---------------------------------------------------------
 
-_ELEMENTWISE = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
+
+def _elementwise(name, ufunc):
+    """The forward of a binary elementwise op: equal shapes, or one scalar operand."""
+
+    def forward(a, b):
+        if not (np.shape(a) == np.shape(b) or np.ndim(a) == 0 or np.ndim(b) == 0):
+            raise DimensionError(f"{name}: shapes {np.shape(a)} and {np.shape(b)} are incompatible")
+        return ufunc(a, b)
+
+    return forward
 
 
-def _elementwise_arr(name, a, b):
-    if not (np.shape(a) == np.shape(b) or np.ndim(a) == 0 or np.ndim(b) == 0):
-        raise DimensionError(f"{name}: shapes {np.shape(a)} and {np.shape(b)} are incompatible")
-    return _ELEMENTWISE[name](a, b)
+_add = _elementwise("add", np.add)
+_sub = _elementwise("sub", np.subtract)
+_mul = _elementwise("mul", np.multiply)
+_div = _elementwise("div", np.divide)
 
 
 def add(a, b):
-    if _untaped(a, b):
-        return _elementwise_arr("add", a, b)
-    a, b = _coerce(a), _coerce(b)
-    out = _elementwise_arr("add", a.data, b.data)
-    return _attach(out, (a, b), lambda g: (
+    return _op(_add, lambda g, y, a, b: (
         _fit(g, a) if a.requires_grad else None,
         _fit(g, b) if b.requires_grad else None,
-    ))
+    ), a, b)
 
 
 def sub(a, b):
-    if _untaped(a, b):
-        return _elementwise_arr("sub", a, b)
-    a, b = _coerce(a), _coerce(b)
-    out = _elementwise_arr("sub", a.data, b.data)
-    return _attach(out, (a, b), lambda g: (
+    return _op(_sub, lambda g, y, a, b: (
         _fit(g, a) if a.requires_grad else None,
         _fit(-g, b) if b.requires_grad else None,
-    ))
+    ), a, b)
 
 
 def mul(a, b):
-    if _untaped(a, b):
-        return _elementwise_arr("mul", a, b)
-    a, b = _coerce(a), _coerce(b)
-    out = _elementwise_arr("mul", a.data, b.data)
-    return _attach(out, (a, b), lambda g: (
+    return _op(_mul, lambda g, y, a, b: (
         _fit(g * b.data, a) if a.requires_grad else None,
         _fit(g * a.data, b) if b.requires_grad else None,
-    ))
+    ), a, b)
 
 
 def div(a, b):
-    if _untaped(a, b):
-        return _elementwise_arr("div", a, b)
-    a, b = _coerce(a), _coerce(b)
-    out = _elementwise_arr("div", a.data, b.data)
-    return _attach(out, (a, b), lambda g: (
+    return _op(_div, lambda g, y, a, b: (
         _fit(g / b.data, a) if a.requires_grad else None,
         _fit(-g * a.data / (b.data * b.data), b) if b.requires_grad else None,
-    ))
+    ), a, b)
 
 
 def neg(a):
-    if _untaped(a):
-        return np.negative(a)
-    a = _coerce(a)
-    return _attach(np.negative(a.data), (a,), lambda g: (-g,))
+    return _op(np.negative, lambda g, y, a: (-g,), a)
 
 
 def _matmul_arr(a, b):
@@ -375,14 +365,10 @@ def _matmul_arr(a, b):
 
 
 def matmul(a, b):
-    if _untaped(a, b):
-        return _matmul_arr(a, b)
-    a, b = _coerce(a), _coerce(b)
-    out = _matmul_arr(a.data, b.data)
-    return _attach(out, (a, b), lambda g: (
+    return _op(_matmul_arr, lambda g, y, a, b: (
         g @ b.data.T if a.requires_grad else None,
         a.data.T @ g if b.requires_grad else None,
-    ))
+    ), a, b)
 
 
 def _transpose_arr(a):
@@ -392,10 +378,7 @@ def _transpose_arr(a):
 
 
 def transpose(a):
-    if _untaped(a):
-        return _transpose_arr(a)
-    a = _coerce(a)
-    return _attach(_transpose_arr(a.data), (a,), lambda g: (g.T,))
+    return _op(_transpose_arr, lambda g, y, a: (g.T,), a)
 
 
 # -- pointwise nonlinearities -------------------------------------------
@@ -409,11 +392,7 @@ def _sigmoid_arr(x):
 
 
 def sigmoid(a):
-    if _untaped(a):
-        return _sigmoid_arr(a)
-    a = _coerce(a)
-    y = _sigmoid_arr(a.data)
-    return _attach(y, (a,), lambda g: (g * y * (1.0 - y),))
+    return _op(_sigmoid_arr, lambda g, y, a: (g * y * (1.0 - y),), a)
 
 
 def _relu_arr(x):
@@ -425,37 +404,20 @@ def _relu_arr(x):
 
 
 def relu(a):
-    if _untaped(a):
-        return _relu_arr(a)
-    a = _coerce(a)
-    return _attach(_relu_arr(a.data), (a,), lambda g: (g * (a.data > 0),))
+    return _op(_relu_arr, lambda g, y, a: (g * (a.data > 0),), a)
 
 
 def tanh(a):
-    if _untaped(a):
-        return np.tanh(a)
-    a = _coerce(a)
-    y = np.tanh(a.data)
-    return _attach(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def _softplus_arr(x):
-    return np.logaddexp(0.0, x)
+    return _op(np.tanh, lambda g, y, a: (g * (1.0 - y * y),), a)
 
 
 def softplus(a):
     """log(1 + exp(x)), evaluated stably for large |x|."""
-    if _untaped(a):
-        return _softplus_arr(a)
-    a = _coerce(a)
-    return _attach(_softplus_arr(a.data), (a,), lambda g: (g * _sigmoid_arr(a.data),))
+    return _op(lambda x: np.logaddexp(0.0, x), lambda g, y, a: (g * _sigmoid_arr(a.data),), a)
 
 
 def absolute(a):
-    if _untaped(a):
-        return np.abs(a)
-    a = _coerce(a)
-    return _attach(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+    return _op(np.abs, lambda g, y, a: (g * np.sign(a.data),), a)
 
 
 def _softmax_arr(x, axis):
@@ -466,38 +428,21 @@ def _softmax_arr(x, axis):
 
 
 def softmax(a, axis):
-    if _untaped(a):
-        return _softmax_arr(a, axis)
-    a = _coerce(a)
-    y = _softmax_arr(a.data, axis)
-
-    return _attach(y, (a,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
+    return _op(lambda x: _softmax_arr(x, axis),
+               lambda g, y, a: (y * (g - (g * y).sum(axis=axis, keepdims=True)),), a)
 
 
 # -- reductions and structure -------------------------------------------
 
 
-def _tsum_arr(x):
-    return np.array(x.sum())
-
-
 def tsum(a):
-    if _untaped(a):
-        return _tsum_arr(a)
-    a = _coerce(a)
-    return _attach(_tsum_arr(a.data), (a,), lambda g: (np.full(a.data.shape, float(g)),))
-
-
-def _tmean_arr(x):
-    return np.array(x.mean())
+    return _op(lambda x: np.array(x.sum()),
+               lambda g, y, a: (np.full(a.data.shape, float(g)),), a)
 
 
 def tmean(a):
-    if _untaped(a):
-        return _tmean_arr(a)
-    a = _coerce(a)
-    n = a.data.size
-    return _attach(_tmean_arr(a.data), (a,), lambda g: (np.full(a.data.shape, float(g) / n),))
+    return _op(lambda x: np.array(x.mean()),
+               lambda g, y, a: (np.full(a.data.shape, float(g) / a.data.size),), a)
 
 
 def _reshape_arr(x, shape):
@@ -507,10 +452,7 @@ def _reshape_arr(x, shape):
 
 
 def reshape(a, shape):
-    if _untaped(a):
-        return _reshape_arr(a, shape)
-    a = _coerce(a)
-    return _attach(_reshape_arr(a.data, shape), (a,), lambda g: (g.reshape(a.data.shape),))
+    return _op(lambda x: _reshape_arr(x, shape), lambda g, y, a: (g.reshape(a.data.shape),), a)
 
 
 def _concat_arr(arrays, axis):
@@ -525,17 +467,16 @@ def _concat_arr(arrays, axis):
 
 
 def concat(tensors, axis):
-    if _untaped(*tensors):
-        return _concat_arr(tensors, axis)
-    tensors = tuple(_coerce(t) for t in tensors)
-    out = _concat_arr([t.data for t in tensors], axis)
-    # each parent's block of the output, as an index into g
-    index, blocks, hi = [slice(None)] * out.ndim, [], 0
-    for t in tensors:
-        lo, hi = hi, hi + t.data.shape[axis]
-        index[axis] = slice(lo, hi)
-        blocks.append(tuple(index))
-    return _attach(out, tensors, lambda g: [g[block] for block in blocks])
+    def pull(g, y, *parents):
+        # each parent's block of g
+        index, blocks, hi = [slice(None)] * y.ndim, [], 0
+        for t in parents:
+            lo, hi = hi, hi + t.data.shape[axis]
+            index[axis] = slice(lo, hi)
+            blocks.append(g[tuple(index)])
+        return blocks
+
+    return _op(lambda *xs: _concat_arr(xs, axis), pull, *tensors)
 
 
 def _cols_arr(x, start, stop):
@@ -548,17 +489,13 @@ def _cols_arr(x, start, stop):
 
 def cols(a, start, stop):
     """Column slice of a 2-d tensor."""
-    if _untaped(a):
-        return _cols_arr(a, start, stop)
-    a = _coerce(a)
-    out = _cols_arr(a.data, start, stop)
 
-    def pull(g):
+    def pull(g, y, a):
         full = np.zeros(a.data.shape)
         full[:, start:stop] = g
         return (full,)
 
-    return _attach(out, (a,), pull)
+    return _op(lambda x: _cols_arr(x, start, stop), pull, a)
 
 
 def _scale_rows_arr(x, s):
@@ -569,14 +506,10 @@ def _scale_rows_arr(x, s):
 
 def scale_rows(a, s):
     """Multiply row i of a 2-d tensor by s[i]."""
-    if _untaped(a, s):
-        return _scale_rows_arr(a, s)
-    a, s = _coerce(a), _coerce(s)
-    out = _scale_rows_arr(a.data, s.data)
-    return _attach(out, (a, s), lambda g: (
+    return _op(_scale_rows_arr, lambda g, y, a, s: (
         g * s.data[:, None] if a.requires_grad else None,
         (g * a.data).sum(axis=1) if s.requires_grad else None,
-    ))
+    ), a, s)
 
 
 def _add_rowvec_arr(x, b):
@@ -587,11 +520,8 @@ def _add_rowvec_arr(x, b):
 
 def add_rowvec(a, b):
     """Add a length-n vector to every row of an (m, n) tensor."""
-    if _untaped(a, b):
-        return _add_rowvec_arr(a, b)
-    a, b = _coerce(a), _coerce(b)
-    out = _add_rowvec_arr(a.data, b.data)
-    return _attach(out, (a, b), lambda g: (g, g.sum(axis=0) if b.requires_grad else None))
+    return _op(_add_rowvec_arr,
+               lambda g, y, a, b: (g, g.sum(axis=0) if b.requires_grad else None), a, b)
 
 
 def _dense_arr(x, w, b, act):
@@ -622,12 +552,8 @@ def dense(x, w, b, act=None):
     then each parent's piece of the affine pull; an input that needs no
     gradient, such as frozen features, costs no matmul.
     """
-    if _untaped(x, w, b):
-        return _dense_arr(x, w, b, act)
-    x, w, b = _coerce(x), _coerce(w), _coerce(b)
-    y = _dense_arr(x.data, w.data, b.data, act)
 
-    def pull(g):
+    def pull(g, y, x, w, b):
         if act == "relu":
             g = g * (y > 0)  # a relu output is positive exactly where its input was
         elif act == "tanh":
@@ -638,7 +564,7 @@ def dense(x, w, b, act=None):
             g.sum(axis=0) if b.requires_grad else None,
         )
 
-    return _attach(y, (x, w, b), pull)
+    return _op(lambda x, w, b: _dense_arr(x, w, b, act), pull, x, w, b)
 
 
 def _depatchify_arr(x, grid_h, grid_w, patch):
@@ -661,19 +587,11 @@ def depatchify(a, grid_h, grid_w, patch):
     rows [ty*patch, (ty+1)*patch) and columns [tx*patch, (tx+1)*patch);
     its vector is that block in row-major order.
     """
-    if _untaped(a):
-        return _depatchify_arr(a, grid_h, grid_w, patch)
-    a = _coerce(a)
-    out = _depatchify_arr(a.data, grid_h, grid_w, patch)
-
-    def pull(g):
-        return (
-            g.reshape(grid_h, patch, grid_w, patch)
-            .transpose(0, 2, 1, 3)
-            .reshape(grid_h * grid_w, patch * patch),
-        )
-
-    return _attach(out, (a,), pull)
+    return _op(lambda x: _depatchify_arr(x, grid_h, grid_w, patch), lambda g, y, a: (
+        g.reshape(grid_h, patch, grid_w, patch)
+        .transpose(0, 2, 1, 3)
+        .reshape(grid_h * grid_w, patch * patch),
+    ), a)
 
 
 def patchify(image: np.ndarray, patch: int) -> np.ndarray:
@@ -721,67 +639,56 @@ def _merge_heads(x):
     return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(n, heads * dh)
 
 
-def _attention_weights_arr(qp, kp, heads):
-    """softmax((q_h @ k_h^T) * scale) for every head h at once, shape (heads, L_q, L_k).
+def _head_stacks(qp, kp, heads):
+    """The logit scale, and the contiguous per-head queries (heads, L_q, dh)
+    and transposed keys (heads, dh, L_k) that the attention weights multiply.
 
-    Head h owns columns [h*dh, (h+1)*dh) of the projections.  Returns
-    the weights, the scale, and the contiguous per-head queries
-    (heads, L_q, dh) and transposed keys (heads, dh, L_k) they were
-    computed from.
+    Head h owns columns [h*dh, (h+1)*dh) of the projections.
     """
     dh = qp.shape[1] // heads
-    scale = 1.0 / math.sqrt(dh)
-    qh = _split_heads(qp, heads)
-    kht = kp.T.reshape(heads, dh, kp.shape[0]).copy()
+    return 1.0 / math.sqrt(dh), _split_heads(qp, heads), kp.T.reshape(heads, dh, kp.shape[0]).copy()
+
+
+def _attention_weights_arr(qp, kp, heads):
+    """softmax((q_h @ k_h^T) * scale) for every head h at once, shape (heads, L_q, L_k)."""
+    scale, qh, kht = _head_stacks(qp, kp, heads)
     z = np.matmul(qh, kht) * scale
     e = np.exp(z - z.max(axis=2, keepdims=True))
-    return e / e.sum(axis=2, keepdims=True), scale, qh, kht
+    return e / e.sum(axis=2, keepdims=True)
 
 
 def _attention_weights(qp, kp, heads: int):
     """The attention weights node.
 
     The pullback takes the softmax pull, then the scale, then each head's
-    two matmul pulls into that head's column block of qp and kp.
+    two matmul pulls into that head's column block of qp and kp.  It
+    rebuilds the forward's per-head stacks from the parents' arrays.
     """
-    if _untaped(qp, kp):
-        return _attention_weights_arr(qp, kp, heads)[0]
-    qp, kp = _coerce(qp), _coerce(kp)
-    y, scale, qh, kht = _attention_weights_arr(qp.data, kp.data, heads)
 
-    def pull(g):
+    def pull(g, y, qp, kp):
+        scale, qh, kht = _head_stacks(qp.data, kp.data, heads)
         gs = y * (g - (g * y).sum(axis=2, keepdims=True)) * scale
         gq = np.matmul(gs, kht.transpose(0, 2, 1))
         gk = np.matmul(qh.transpose(0, 2, 1), gs).transpose(0, 2, 1)
         return _merge_heads(gq), _merge_heads(gk)
 
-    return _attach(y, (qp, kp), pull)
+    return _op(lambda q, k: _attention_weights_arr(q, k, heads), pull, qp, kp)
 
 
 def _attention_mix_arr(weights, vp, heads):
-    """Head h's weights times its column block of vp, heads side by side.
-
-    Returns the mix and the contiguous per-head values (heads, L_k, dh) it read.
-    """
-    vh = _split_heads(vp, heads)
-    return _merge_heads(np.matmul(weights, vh)), vh
+    """Head h's weights times its column block of vp, heads side by side."""
+    return _merge_heads(np.matmul(weights, _split_heads(vp, heads)))
 
 
 def _attention_mix(weights, vp, heads: int):
-    if _untaped(weights, vp):
-        return _attention_mix_arr(weights, vp, heads)[0]
-    weights, vp = _coerce(weights), _coerce(vp)
-    out, vh = _attention_mix_arr(weights.data, vp.data, heads)
-    y = weights.data
-
-    def pull(g):
+    def pull(g, out, weights, vp):
         # head h's column block of g, as a strided view
         gh = g.reshape(g.shape[0], heads, -1).transpose(1, 0, 2)
-        gw = np.matmul(gh, vh.transpose(0, 2, 1))
-        gv = np.matmul(y.transpose(0, 2, 1), gh)
+        gw = np.matmul(gh, _split_heads(vp.data, heads).transpose(0, 2, 1))
+        gv = np.matmul(weights.data.transpose(0, 2, 1), gh)
         return gw, _merge_heads(gv)
 
-    return _attach(out, (weights, vp), pull)
+    return _op(lambda w, v: _attention_mix_arr(w, v, heads), pull, weights, vp)
 
 
 def multihead_cross_attention(q, k, v, params: AttentionParams, heads: int):
@@ -799,7 +706,8 @@ def multihead_cross_attention(q, k, v, params: AttentionParams, heads: int):
     head outputs from ``attn`` and the projected values.  Both compute
     every head in one batched matmul, forward and pullback alike: the
     projections' head blocks are stacked as contiguous (heads, L, d_h)
-    copies, and an incoming gradient's as a strided view.  Each head's
+    copies, which each pullback rebuilds from its parents' arrays, and an
+    incoming gradient's as a strided view.  Each head's
     slice of a stack is the matrix a per-head chain of cols, transpose,
     matmul, mul, softmax, reshape and concat nodes would multiply, in the
     same layout, and every gradient leaves the node C-contiguous as that

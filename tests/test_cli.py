@@ -465,6 +465,24 @@ def _config_echo(command, seed, model):
             "model": model.config.to_dict()}
 
 
+@pytest.mark.parametrize("objects, occluded", [(2, 2), (1, 0)])
+def test_ablate_prints_its_learned_gate_row_as_eval_prints_it(tmp_path, capsys, objects, occluded):
+    scene = {"size": 16, "min_objects": objects, "max_objects": objects}
+    data = _gen(tmp_path, "data", n=4, config=_write_config(tmp_path, {"scene": scene}))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0))
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "rep")]) == 0
+    eval_line = capsys.readouterr().out.strip()
+    assert main(["ablate", "--ckpt", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "ablate.csv")]) == 0
+    none_line = capsys.readouterr().out.splitlines()[0]
+    mious = none_line.removeprefix("gate=none: ")
+    assert mious != none_line
+    assert eval_line == f"oracle: {mious} (4 instances, {occluded} occluded)"
+
+
 def test_report_json_round_trip(tmp_path, capsys):
     data, ckpt = _data_and_checkpoint(tmp_path)
     out = tmp_path / "rep"

@@ -14,22 +14,31 @@ from grasp.tensor import (
     AttentionParams,
     Tape,
     Tensor,
+    absolute,
+    add,
     add_rowvec,
     backward,
     cols,
     concat,
     dense,
     depatchify,
+    div,
     matmul,
     mul,
     multihead_cross_attention,
+    neg,
     patchify,
     relu,
     reshape,
     scale_rows,
+    sigmoid,
     softmax,
+    softplus,
+    sub,
     tanh,
+    tmean,
     transpose,
+    tsum,
     zero_grads,
 )
 from grasp.tensor import _sigmoid_arr
@@ -621,6 +630,56 @@ def test_dense_on_constants_records_no_node():
     y = dense(x, w, b, "tanh")
     assert y.parents is None and not y.requires_grad
     assert np.array_equal(y.data, np.tanh(x.data @ w.data + b.data))
+
+
+def _attention_both(q, kv, wq, wk, wv, wo):
+    return multihead_cross_attention(q, kv, kv, AttentionParams(wq, wk, wv, wo), 3)
+
+
+# every op with the operand shapes it is given here
+UNTAPED_OPS = [
+    ("add", add, [(3, 4), (3, 4)]),
+    ("sub", sub, [(3, 4), (3, 4)]),
+    ("mul", mul, [(3, 4), (3, 4)]),
+    ("div", div, [(3, 4), (3, 4)]),
+    ("neg", neg, [(3, 4)]),
+    ("matmul", matmul, [(3, 4), (4, 3)]),
+    ("transpose", transpose, [(3, 4)]),
+    ("sigmoid", sigmoid, [(3, 4)]),
+    ("relu", relu, [(3, 4)]),
+    ("tanh", tanh, [(3, 4)]),
+    ("softplus", softplus, [(3, 4)]),
+    ("absolute", absolute, [(3, 4)]),
+    ("softmax", lambda a: softmax(a, axis=1), [(3, 4)]),
+    ("tsum", tsum, [(3, 4)]),
+    ("tmean", tmean, [(3, 4)]),
+    ("reshape", lambda a: reshape(a, (6, 4)), [(3, 8)]),
+    ("concat0", lambda a, b: concat([a, b], axis=0), [(3, 4), (3, 4)]),
+    ("concat1", lambda a, b: concat([a, b], axis=1), [(3, 4), (3, 4)]),
+    ("cols", lambda a: cols(a, 1, 3), [(3, 4)]),
+    ("scale_rows", scale_rows, [(3, 4), (3,)]),
+    ("add_rowvec", add_rowvec, [(3, 4), (4,)]),
+    ("depatchify", lambda a: depatchify(a, 2, 2, 4), [(4, 16)]),
+    ("attention", _attention_both, [(5, 6), (7, 6)] + [(6, 6)] * 4),
+    ("dense", dense, [(4, 3), (3, 5), (5,)]),
+    ("dense_relu", lambda x, w, b: dense(x, w, b, "relu"), [(4, 3), (3, 5), (5,)]),
+    ("dense_tanh", lambda x, w, b: dense(x, w, b, "tanh"), [(4, 3), (3, 5), (5,)]),
+]
+
+
+@pytest.mark.parametrize("op, shapes", [c[1:] for c in UNTAPED_OPS],
+                         ids=[c[0] for c in UNTAPED_OPS])
+def test_plain_array_operands_give_the_constant_tensor_result_as_an_array(op, shapes):
+    rng = np.random.default_rng(11)
+    arrays = [rng.standard_normal(shape) for shape in shapes]
+    plain, const = op(*arrays), op(*[Tensor(x) for x in arrays])
+    if not isinstance(plain, tuple):
+        plain, const = (plain,), (const,)
+    assert len(plain) == len(const)
+    for p, c in zip(plain, const):
+        assert type(p) is np.ndarray
+        assert isinstance(c, Tensor) and c.parents is None and not c.requires_grad
+        assert p.shape == c.data.shape and p.tobytes() == c.data.tobytes()
 
 
 def test_dense_rejects_bad_shapes_and_activations():
