@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .geometry import BinaryMask, SdfField, edt, edt_sq, iou, pool_to_grid, sdf
+from .geometry import BinaryMask, SdfField, edt_sq, iou, pool_to_grid, sdf
 from .model import ForwardTrace, GraspConfig, GraspModel, load_checkpoint, save_checkpoint
 from .synthdata import (
     SceneConfig,
@@ -21,7 +21,6 @@ __all__ = [
     "__version__",
     "BinaryMask",
     "SdfField",
-    "edt",
     "edt_sq",
     "iou",
     "pool_to_grid",

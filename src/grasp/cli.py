@@ -7,9 +7,8 @@ data-integrity or out-of-memory failure (one machine-parsable line on
 stderr), 2 usage error.
 
 The library computes and returns values; this module writes every
-report file from them.  JSON is written indent-1 with sorted keys and a
-trailing newline.  A CSV cell is empty for None, a string as it is, and
-a number as its shortest round-trip repr.  The eval, probe and stats
+report file from them, through the JSON and CSV writers in
+``grasp.errors``, which fix the layout of each.  The eval, probe and stats
 JSON embed ``config`` (the command, its seed and the model
 configuration) and ``version``; ``sdf_meta.json`` embeds ``version``;
 no CSV embeds either.
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -28,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, evalkit, probe as probe_mod
-from .errors import ConfigError, GraspError, parse_json_object
+from .errors import ConfigError, GraspError, parse_json_object, write_csv, write_json
 from .geometry import read_mask, sdf
 from .model import GraspConfig, GraspModel, gate_of, load_checkpoint
 from .pgm import write_pgm
@@ -56,29 +54,6 @@ def _echo(args, model) -> dict:
     config = {"version": __version__, "command": args.command,
               "seed": getattr(args, "seed", None), "model": model.config.to_dict()}
     return {"config": config, "version": __version__}
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return repr(int(value))
-    return repr(float(value))
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_csv_cell, row)) + "\n")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -134,9 +109,9 @@ def cmd_eval(args) -> int:
         occ_metric=args.occ_metric,
     )
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "report.json"), {**report.to_dict(), **_echo(args, model)})
+    write_json(os.path.join(args.out, "report.json"), {**report.to_dict(), **_echo(args, model)})
     columns = ("index", "shape_class", "occ_ratio", "vm_iou", "full_iou", "occ_iou", "mean_gate")
-    _write_csv(os.path.join(args.out, "report.csv"), columns,
+    write_csv(os.path.join(args.out, "report.csv"), columns,
                ([row[c] for c in columns] for row in report.rows))
     print(f"{report.protocol}: {_mious(report)} "
           f"({report.n_instances} instances, {report.n_occluded} occluded)")
@@ -155,7 +130,7 @@ def cmd_ablate(args) -> int:
         rows.append((label, report.full_miou, report.occ_miou))
         print(f"gate={label}: {_mious(report)}")
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    _write_csv(args.out, ("gate_override", "full_miou", "occ_miou"), rows)
+    write_csv(args.out, ("gate_override", "full_miou", "occ_miou"), rows)
     return 0
 
 
@@ -167,8 +142,8 @@ def cmd_probe(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     payload = {k: v for k, v in report.items() if k != "pairs"}
-    _write_json(os.path.join(args.out, "probe.json"), {**payload, **_echo(args, model)})
-    _write_csv(os.path.join(args.out, "probe_pairs.csv"), ("true_sdf", "predicted_sdf"),
+    write_json(os.path.join(args.out, "probe.json"), {**payload, **_echo(args, model)})
+    write_csv(os.path.join(args.out, "probe_pairs.csv"), ("true_sdf", "predicted_sdf"),
                report["pairs"])
     for name, res in report["results"].items():
         r2 = "undefined" if res["r2"] is None else f"{res['r2']:.4f}"
@@ -181,7 +156,7 @@ def cmd_stats(args) -> int:
     _, instances = read_dataset(args.data)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     gate, attention = evalkit.mechanism_stats(model, instances)
-    _write_json(args.out, {"gate": gate, "attention": attention, **_echo(args, model)})
+    write_json(args.out, {"gate": gate, "attention": attention, **_echo(args, model)})
     print(f"wrote mechanism stats to {args.out}")
     return 0
 
@@ -193,7 +168,7 @@ def cmd_sdf(args) -> int:
     mask = read_mask(args.mask)
     field = sdf(mask)
     os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, "sdf.csv"), ("y", "x", "distance", "normalized"),
+    write_csv(os.path.join(args.out, "sdf.csv"), ("y", "x", "distance", "normalized"),
                ((y, x, field.values[y, x], field.normalized[y, x])
                 for y, x in np.ndindex(field.values.shape)))
     # heatmap of the normalized field: -1 -> 0, 0 -> 128, +1 -> 255
@@ -202,7 +177,7 @@ def cmd_sdf(args) -> int:
     gate = gate_of(args.alpha, args.beta, field.normalized)
     write_pgm(os.path.join(args.out, "gate.pgm"),
               np.clip(np.rint(gate * 255.0), 0, 255).astype(np.uint8))
-    _write_json(
+    write_json(
         os.path.join(args.out, "sdf_meta.json"),
         {
             "mask": args.mask,

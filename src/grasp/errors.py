@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and the checks that raise
-them for config dicts and stored JSON records."""
+"""Exception types shared across the package, the checks that raise them
+for config dicts and stored JSON records, and the one JSON writer and one
+CSV writer that every JSON and CSV file is written through."""
 
 import json
 from dataclasses import fields
+
+import numpy as np
 
 
 class GraspError(Exception):
@@ -89,11 +92,46 @@ def parse_json_object(raw: bytes, what: str, error: type) -> dict:
     return value
 
 
-def check_fields(record, fields: dict, what: str, error: type) -> None:
-    """Raise ``error`` unless each named field of a JSON record has its type."""
+def check_fields(record, fields: dict, what: str, error: type, others=()) -> None:
+    """Raise ``error`` unless each named field of a JSON record has its type,
+    and the record holds no key but those fields and the ``others``."""
     if not isinstance(record, dict):
         raise error(f"{what} is not a JSON object")
+    unknown = sorted(set(record) - set(fields) - set(others))
+    if unknown:
+        raise error(f"{what} has unknown keys {unknown}")
     for key, kind in fields.items():
         value = record.get(key)
         if not isinstance(value, kind) or isinstance(value, bool):
             raise error(f"{what} field {key!r} is missing or not {kind.__name__}")
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` to ``path`` indent-1, with sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: empty for None, a string as it is, a number as its shortest round-trip repr."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return repr(int(value))
+    return repr(float(value))
+
+
+def csv_row(cells) -> str:
+    """One CSV line of ``cells``, newline included."""
+    return ",".join(map(csv_cell, cells)) + "\n"
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the ``header`` line and then each row to ``path``."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(csv_row(header))
+        for row in rows:
+            fh.write(csv_row(row))

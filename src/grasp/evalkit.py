@@ -214,6 +214,8 @@ def _sweep(model, instances, protocol, overrides, *, use_postprocess=False,
         raise ConfigError(f"unknown protocol {protocol!r}")
     if occ_metric not in ("head", "amodal_minus_visible"):
         raise ConfigError(f"unknown occluded-IoU operand choice {occ_metric!r}")
+    if eval_seed < 0:
+        raise ConfigError(f"eval seed {eval_seed} must be >= 0")
 
     is_model = isinstance(model, GraspModel)
     if is_model:

@@ -280,11 +280,6 @@ def edt_sq(mask: BinaryMask | np.ndarray) -> np.ndarray:
     return out
 
 
-def edt(mask: BinaryMask) -> np.ndarray:
-    """Exact Euclidean distance to the nearest true pixel (float64)."""
-    return np.sqrt(edt_sq(mask).astype(np.float64))
-
-
 @dataclass(frozen=True)
 class SdfField:
     """A signed distance field and its diagonal-normalized form."""

@@ -229,6 +229,12 @@ def param_layout(config: GraspConfig) -> tuple[ParamRow, ...]:
     return tuple(rows)
 
 
+def param_entries(config: GraspConfig) -> list[dict]:
+    """A checkpoint header's ``params``: each layout row's group, name, shape and byte count."""
+    return [{"group": row.group, "name": row.name, "shape": list(row.shape),
+             "bytes": row.size * 8} for row in param_layout(config)]
+
+
 @functools.lru_cache(maxsize=32)
 def param_count(config: GraspConfig) -> int:
     """Scalars in ``param_layout(config)``, frozen rows included: the buffer's length."""
@@ -248,6 +254,8 @@ class GraspParams:
     """
 
     def __init__(self, config: GraspConfig, seed: int, values: np.ndarray | None = None):
+        if seed < 0:
+            raise ConfigError(f"model seed {seed} must be >= 0")
         self.seed = int(seed)
         layout = param_layout(config)
         ends = list(itertools.accumulate(row.size for row in layout))
@@ -481,17 +489,15 @@ class GraspModel:
 def save_checkpoint(path, model: GraspModel, step: int = 0, extra: dict | None = None) -> None:
     """JSON header line, then the parameter buffer as raw little-endian float64.
 
-    The header lists each ``param_layout`` row's group, name, shape and
-    byte count, in the layout's order, which is the body's order.
+    The header's ``params`` is ``param_entries(model.config)``: one entry
+    per layout row, in the layout's order, which is the body's order.
     """
-    entries = [{"group": row.group, "name": row.name, "shape": list(row.shape),
-                "bytes": row.size * 8} for row in param_layout(model.config)]
     header = {
         "format": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
         "seed": model.params.seed,
         "step": int(step),
-        "params": entries,
+        "params": param_entries(model.config),
     }
     if extra:
         header["extra"] = extra
@@ -512,11 +518,21 @@ def save_checkpoint(path, model: GraspModel, step: int = 0, extra: dict | None =
 
 _HEADER_FIELDS = {"config": dict, "seed": int, "step": int, "params": list}
 _CONFIG_FIELDS = frozenset(f.name for f in fields(GraspConfig))
-_ENTRY_FIELDS = {"group": str, "name": str, "shape": list, "bytes": int}
+
+
+def _json_text(value) -> str:
+    """``value`` as canonical JSON text: equal only if equal in type too (``8.0`` is not ``8``)."""
+    return json.dumps(value, sort_keys=True)
+
+
+@functools.lru_cache(maxsize=32)
+def _entries_text(config: GraspConfig) -> str:
+    """``param_entries(config)`` as JSON text, built once per config rather than per load."""
+    return _json_text(param_entries(config))
 
 
 def load_checkpoint(path) -> tuple[GraspModel, int]:
-    """Read a checkpoint whose entries match the model's layout, in its order.
+    """Read a checkpoint whose ``params`` is exactly ``param_entries`` of its config.
 
     The body is read in one block straight into the new model's
     parameter buffer; nothing is drawn at random.
@@ -525,7 +541,8 @@ def load_checkpoint(path) -> tuple[GraspModel, int]:
         header = parse_json_object(fh.readline(), f"{path}: checkpoint header", IntegrityError)
         if header.get("format") != CHECKPOINT_FORMAT:
             raise IntegrityError(f"{path}: unknown checkpoint format {header.get('format')!r}")
-        check_fields(header, _HEADER_FIELDS, f"{path}: checkpoint header", IntegrityError)
+        check_fields(header, _HEADER_FIELDS, f"{path}: checkpoint header", IntegrityError,
+                     others=("format", "extra"))
         for key in ("seed", "step"):
             if header[key] < 0:
                 raise IntegrityError(f"{path}: checkpoint {key} {header[key]} must be >= 0")
@@ -536,28 +553,15 @@ def load_checkpoint(path) -> tuple[GraspModel, int]:
         if absent:
             raise IntegrityError(f"{path}: checkpoint config lacks fields {absent}")
         config = GraspConfig.from_dict(header["config"])
-        layout = param_layout(config)
-        rows = {(row.group, row.name): row for row in layout}
-        keys = []
-        for entry in header["params"]:
-            check_fields(entry, _ENTRY_FIELDS, f"{path}: parameter entry", IntegrityError)
-            key = (entry["group"], entry["name"])
-            if key not in rows:
-                raise IntegrityError(f"{path}: unexpected parameter {key}")
-            keys.append(key)
-        missing = set(rows) - set(keys)
-        if missing:
-            raise IntegrityError(f"{path}: checkpoint missing parameters {sorted(missing)}")
-        if keys != list(rows):
-            raise IntegrityError(f"{path}: parameter entries are not in the model's order")
-        for entry, row in zip(header["params"], layout):
-            key = (row.group, row.name)
-            if tuple(entry["shape"]) != row.shape:
-                raise IntegrityError(
-                    f"{path}: shape {entry['shape']} for {key} != model {row.shape}"
-                )
-            if entry["bytes"] != row.size * 8:
-                raise IntegrityError(f"{path}: block size {entry['bytes']} wrong for {key}")
+        stored = header["params"]
+        if _json_text(stored) != _entries_text(config):
+            entries = param_entries(config)
+            # past the shorter list's end, the two differ by length alone
+            i = next((i for i, (got, want) in enumerate(zip(stored, entries))
+                      if _json_text(got) != _json_text(want)), min(len(stored), len(entries)))
+            got = _json_text(stored[i]) if i < len(stored) else "absent"
+            want = _json_text(entries[i]) if i < len(entries) else "no entry"
+            raise IntegrityError(f"{path}: parameter entry {i} is {got}; the layout's is {want}")
         # the body must fill the rest of the file: checked before anything is allocated
         nbytes = 8 * param_count(config)
         left = os.fstat(fh.fileno()).st_size - fh.tell()

@@ -33,6 +33,8 @@ def extract_probe_set(model: GraspModel, instances: list[SceneInstance], seed: i
     seeded standard normal of the same shape.  The targets are the
     model's SDF tokens.  The model runs untaped.
     """
+    if seed < 0:
+        raise ConfigError(f"probe seed {seed} must be >= 0")
     model = model.untaped()
     feats = {position: [] for position in POSITIONS}
     targets, ids = [], []

@@ -22,7 +22,6 @@ populated.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -39,6 +38,7 @@ from .errors import (
     check_ranges,
     config_from_dict,
     parse_json_object,
+    write_json,
 )
 from .geometry import BinaryMask, mask_diff, read_mask, write_mask
 
@@ -451,9 +451,7 @@ def write_dataset(
         config=(config or SceneConfig()).to_dict(),
         instances=entries,
     )
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, MANIFEST_NAME), manifest.to_dict())
     return manifest
 
 
@@ -471,7 +469,8 @@ def read_dataset(data_dir) -> tuple[DatasetManifest, list[SceneInstance]]:
         raw = parse_json_object(fh.read(), f"{manifest_path}: manifest", DatasetIOError)
     if raw.get("format") != DATASET_FORMAT:
         raise DatasetIOError(f"{manifest_path}: unknown format {raw.get('format')!r}")
-    check_fields(raw, _MANIFEST_FIELDS, f"{manifest_path}: manifest", DatasetIOError)
+    check_fields(raw, _MANIFEST_FIELDS, f"{manifest_path}: manifest", DatasetIOError,
+                 others=("format",))
     if raw["count"] < 1:
         raise DatasetIOError(f"{manifest_path}: empty dataset (count {raw['count']})")
     if raw["base_seed"] < 0:
@@ -502,15 +501,7 @@ def read_dataset(data_dir) -> tuple[DatasetManifest, list[SceneInstance]]:
                 f"contradicts masks ({inst.occ_ratio})"
             )
         instances.append(inst)
-    manifest = DatasetManifest(
-        height=h,
-        width=w,
-        count=raw["count"],
-        split=raw["split"],
-        base_seed=raw["base_seed"],
-        config=raw["config"],
-        instances=raw["instances"],
-    )
+    manifest = DatasetManifest(**{key: raw[key] for key in _MANIFEST_FIELDS})
     if manifest.count != len(instances):
         raise IntegrityError(
             f"manifest count {manifest.count} contradicts {len(instances)} instances"

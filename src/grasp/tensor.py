@@ -623,9 +623,6 @@ class AttentionParams:
         mats = [Tensor(rng.normal(0.0, scale, (dim, dim)), requires_grad=True) for _ in range(4)]
         return cls(*mats)
 
-    def tensors(self):
-        return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)]
-
 
 def _split_heads(x, heads):
     """(L, heads * d_h) -> a contiguous (heads, L, d_h) copy; head h is column block h."""

@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
 from .errors import (ConfigError, IntegrityError, TrainingDiverged, check_ranges,
-                     config_from_dict)
+                     config_from_dict, csv_row, write_csv)
 from .geometry import BinaryMask, mask_diff
 from .model import ForwardTrace, GraspModel, save_checkpoint
 from .seeding import derive_seed
@@ -66,8 +66,9 @@ class LossBreakdown:
     occluded: float
     total: float
 
-    FIELDS = ("bce_amodal", "dice_amodal", "bce_occluded", "dice_occluded",
-              "amodal", "occluded", "total")
+
+# the field names in order; the loss CSV's columns after step and lr
+LossBreakdown.FIELDS = tuple(f.name for f in fields(LossBreakdown))
 
 
 def _bce_dice(x: np.ndarray, t: np.ndarray):
@@ -235,7 +236,7 @@ def train(model: GraspModel, instances: list[SceneInstance], config: TrainConfig
     # each row is written and flushed as its step ends, so a crash keeps the history
     with open(loss_csv_path, "w", encoding="ascii") if loss_csv_path else nullcontext() as csv:
         if csv:
-            csv.write(_LOSS_CSV_HEADER)
+            csv.write(csv_row(_LOSS_CSV_COLUMNS))
             csv.flush()
         for step in range(config.steps):
             lr = cosine_lr(step, config.steps, config.lr)
@@ -268,7 +269,7 @@ def train(model: GraspModel, instances: list[SceneInstance], config: TrainConfig
             row.update(sums)
             history.append(row)
             if csv:
-                csv.write(_loss_csv_row(row))
+                csv.write(csv_row(row[c] for c in _LOSS_CSV_COLUMNS))
                 csv.flush()
 
             if ckpt_path and config.ckpt_every and (step + 1) % config.ckpt_every == 0 \
@@ -283,17 +284,7 @@ def train(model: GraspModel, instances: list[SceneInstance], config: TrainConfig
 
 
 _LOSS_CSV_COLUMNS = ("step", "lr", *LossBreakdown.FIELDS)
-_LOSS_CSV_HEADER = ",".join(_LOSS_CSV_COLUMNS) + "\n"
-
-
-def _loss_csv_row(row) -> str:
-    return ",".join(
-        repr(int(row[c])) if c == "step" else repr(float(row[c])) for c in _LOSS_CSV_COLUMNS
-    ) + "\n"
 
 
 def write_loss_csv(path, history) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_LOSS_CSV_HEADER)
-        for row in history:
-            fh.write(_loss_csv_row(row))
+    write_csv(path, _LOSS_CSV_COLUMNS, ([row[c] for c in _LOSS_CSV_COLUMNS] for row in history))

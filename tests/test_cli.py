@@ -17,7 +17,7 @@ from grasp import __version__, evalkit, probe
 from grasp.cli import build_parser, main
 from grasp.errors import _FIELD_TYPES
 from grasp.geometry import BinaryMask, read_mask, sdf, write_mask
-from grasp.model import GraspConfig, GraspModel, load_checkpoint, param_layout, save_checkpoint
+from grasp.model import GraspConfig, GraspModel, load_checkpoint, param_entries, save_checkpoint
 from grasp.pgm import read_pgm
 from grasp.synthdata import SceneConfig, generate_scene, perturb_vm, read_dataset
 from grasp.training import TrainConfig
@@ -671,9 +671,7 @@ def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
 
     huge = GraspConfig(dim=1024, heads=1)  # a 67 MiB body the file does not hold
     _rewrite_checkpoint(ckpt, tmp_path / "huge.ckpt", fix_header=lambda h: h.update(
-        config=huge.to_dict(),
-        params=[{"group": r.group, "name": r.name, "shape": list(r.shape), "bytes": 8 * r.size}
-                for r in param_layout(huge)]))
+        config=huge.to_dict(), params=param_entries(huge)))
 
     not_utf8_data = tmp_path / "not_utf8_data"
     shutil.copytree(data, not_utf8_data)
@@ -767,6 +765,22 @@ def test_negative_gen_seed_is_a_config_error(tmp_path, capsys):
     assert main(["gen", "--out", str(out), "--n", "2", "--seed", "-1"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:ConfigError:"), lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate", "probe"])
+def test_negative_analysis_seed_is_a_config_error(tmp_path, capsys, command):
+    data = _gen(tmp_path, "data", n=2, config=_write_config(tmp_path))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, GraspModel(GraspConfig(**SMALL_CONFIG["model"]), seed=0))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--ckpt", str(ckpt), "--data", str(data), "--out", str(out),
+                 "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:ConfigError:"), lines
+    assert "seed -1" in lines[0] and not captured.out
     assert not out.exists()
 
 

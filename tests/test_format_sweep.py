@@ -4,7 +4,9 @@ Dataset: every manifest field, every instance-entry field and every PGM
 header token is set, one at a time, to each value of a fixed set, and
 ``grasp train`` reads the result.  Checkpoint: every header field, every
 ``config`` key and every field of one ``params`` entry is set the same
-way, and ``grasp stats`` reads the result.  Config file: every field of
+way, and ``grasp stats`` reads the result.  Each record (the manifest,
+an instance entry, the checkpoint header and a ``params`` entry) also
+gets one unknown key.  Config file: every field of
 the ``scene``, ``model`` and ``train`` sections, and one unknown
 top-level section, is set the same way; ``grasp gen`` reads the scene
 cases and ``grasp train`` the others.
@@ -37,16 +39,17 @@ JSON_VALUES = dict(zip(LABELS, (MISSING, None, 0, -1, math.nan, math.inf, -math.
 PGM_TOKENS = dict(zip(LABELS, (MISSING, b"x", b"0", b"-1", b"nan", b"inf", b"-inf",
                                str(HUGE).encode())))
 ONE_ERROR_LINE = re.compile(r"error:(\w+):")
+UNKNOWN = {"unknown_key": 0}
 
 # the only mutations that leave a valid dataset: a seed may be any integer >= 0
 ACCEPTED = {"manifest.base_seed=0", "manifest.base_seed=huge",
             "instances[1].seed=0", "instances[1].seed=huge"}
 # how many of the other cases end in each kind of error line
-ERROR_KINDS = {"DatasetIOError": 199, "IntegrityError": 13}
+ERROR_KINDS = {"DatasetIOError": 201, "IntegrityError": 13}
 
 CKPT_ACCEPTED = {"config.gate_override=0", "extra=missing", "seed=0", "seed=huge", "step=0",
                  "step=huge"}
-CKPT_ERROR_KINDS = {"ConfigError": 62, "IntegrityError": 84}
+CKPT_ERROR_KINDS = {"ConfigError": 62, "IntegrityError": 86}
 
 
 # every section field written out, so each one is mutated; gen makes two
@@ -98,12 +101,16 @@ def _cases(data):
         for label, value in JSON_VALUES.items():
             yield (f"manifest.{key}={label}", data / "manifest.json",
                    json.dumps(_mutated(manifest, key, value)).encode())
+    yield ("manifest+unknown_key", data / "manifest.json",
+           json.dumps({**manifest, **UNKNOWN}).encode())
     entries = manifest["instances"]
     for key in entries[1]:
         for label, value in JSON_VALUES.items():
             mutated = {**manifest, "instances": [entries[0], _mutated(entries[1], key, value)]}
             yield (f"instances[1].{key}={label}", data / "manifest.json",
                    json.dumps(mutated).encode())
+    mutated = {**manifest, "instances": [entries[0], {**entries[1], **UNKNOWN}]}
+    yield "instances[1]+unknown_key", data / "manifest.json", json.dumps(mutated).encode()
     for field in ("image", "visible", "amodal"):
         path = data / entries[0][field]
         raw = path.read_bytes()
@@ -122,6 +129,7 @@ def _checkpoint_cases(path):
     for key in header:
         for label, value in JSON_VALUES.items():
             yield case(f"{key}={label}", _mutated(header, key, value))
+    yield case("header+unknown_key", {**header, **UNKNOWN})
     for key in header["config"]:
         for label, value in JSON_VALUES.items():
             yield case(f"config.{key}={label}",
@@ -131,6 +139,8 @@ def _checkpoint_cases(path):
         for label, value in JSON_VALUES.items():
             mutated = [entries[0], _mutated(entries[1], key, value), *entries[2:]]
             yield case(f"params[1].{key}={label}", {**header, "params": mutated})
+    mutated = [entries[0], {**entries[1], **UNKNOWN}, *entries[2:]]
+    yield case("params[1]+unknown_key", {**header, "params": mutated})
 
 
 def _sweep(argv, cases, capsys):

@@ -7,7 +7,6 @@ from grasp import geometry
 from grasp.errors import ConfigError, DatasetIOError, DimensionError, IntegrityError
 from grasp.geometry import (
     BinaryMask,
-    edt,
     edt_sq,
     iou,
     mask_diff,
@@ -322,12 +321,6 @@ def test_edt_reads_a_bool_raster_as_its_mask():
 def test_edt_empty_mask_uses_squared_diagonal():
     out = edt_sq(BinaryMask.zeros(3, 4))
     assert np.all(out == 25)
-
-
-def test_edt_is_sqrt_of_squared_transform():
-    rng = np.random.default_rng(2)
-    arr = rng.random((10, 12)) < 0.2
-    assert np.array_equal(edt(BinaryMask(arr)), np.sqrt(edt_sq(BinaryMask(arr)).astype(float)))
 
 
 # -- signed distance fields -------------------------------------------------

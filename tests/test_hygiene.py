@@ -67,3 +67,20 @@ def test_module_uses_every_name_it_imports(path):
     used = _used_names(tree)
     for _, bound, node in _imports(tree):
         assert bound is None or bound in used, f"{path.name}:{node.lineno} never uses {bound}"
+
+
+def _json_dump_calls(tree):
+    """Line numbers of ``json.dump`` calls, and of ``dump`` imported from json."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "dump"
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            yield from (node.lineno for alias in node.names if alias.name == "dump")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_errors_writes_json_files(path):
+    # errors.write_json is the one JSON file writer, so every file has one layout
+    if path.name != "errors.py":
+        assert not list(_json_dump_calls(_tree(path))), f"{path.name} calls json.dump"

@@ -20,6 +20,7 @@ from grasp.model import (
     MAX_PARAMETERS,
     N_FROZEN_BLOCKS,
     load_checkpoint,
+    param_entries,
     param_layout,
     save_checkpoint,
 )
@@ -724,7 +725,7 @@ def test_checkpoint_rejects_unexpected_parameter(ckpt):
     _mangle(p, d / "bad.ckpt", fix)
     with pytest.raises(IntegrityError) as err:
         load_checkpoint(d / "bad.ckpt")
-    assert "unexpected" in str(err.value)
+    assert "parameter entry 3 is" in str(err.value) and "imposter" in str(err.value)
 
 
 def test_checkpoint_rejects_missing_parameter(ckpt):
@@ -735,9 +736,10 @@ def test_checkpoint_rejects_missing_parameter(ckpt):
         return body
 
     _mangle(p, d / "bad.ckpt", fix)
+    last = len(param_layout(SMALL)) - 1
     with pytest.raises(IntegrityError) as err:
         load_checkpoint(d / "bad.ckpt")
-    assert "missing" in str(err.value)
+    assert f"parameter entry {last} is absent" in str(err.value)
 
 
 def test_checkpoint_rejects_permuted_entries(ckpt):
@@ -752,7 +754,10 @@ def test_checkpoint_rejects_permuted_entries(ckpt):
     _mangle(p, d / "bad.ckpt", fix)
     with pytest.raises(IntegrityError) as err:
         load_checkpoint(d / "bad.ckpt")
-    assert "order" in str(err.value)
+    # the first entry that differs, and the layout's entry at that index
+    message = str(err.value)
+    assert "parameter entry 0 is" in message
+    assert message.index('"block1_w"') < message.index('"block0_w"')
 
 
 def test_checkpoint_rejects_shape_tampering(ckpt):
@@ -786,8 +791,7 @@ def test_checkpoint_body_size_is_checked_before_allocating(ckpt, monkeypatch):
         # a valid config whose entries match it, with a body far larger than the file
         cfg = GraspConfig(dim=1024, heads=1)
         header["config"] = cfg.to_dict()
-        header["params"] = [{"group": r.group, "name": r.name, "shape": list(r.shape),
-                             "bytes": 8 * r.size} for r in param_layout(cfg)]
+        header["params"] = param_entries(cfg)
         return body
 
     def refuse(*args, **kwargs):
@@ -815,7 +819,7 @@ def test_checkpoint_rejects_unknown_config_key(ckpt):
 
 @pytest.mark.parametrize("field,value", [
     ("seed", None), ("seed", "0"), ("seed", 1.5), ("step", None), ("step", True),
-    ("params", None), ("params", {}), ("config", None), ("config", []),
+    ("params", None), ("params", {}), ("config", None), ("config", []), ("note", 1),
 ])
 def test_checkpoint_rejects_missing_or_ill_typed_header_field(ckpt, field, value):
     p, d = ckpt
@@ -833,7 +837,8 @@ def test_checkpoint_rejects_missing_or_ill_typed_header_field(ckpt, field, value
     assert repr(field) in str(err.value)
 
 
-@pytest.mark.parametrize("field,value", [("group", None), ("bytes", "64"), ("shape", 8)])
+@pytest.mark.parametrize("field,value", [("group", None), ("bytes", "64"), ("bytes", 64.0),
+                                         ("shape", 8)])
 def test_checkpoint_rejects_ill_typed_parameter_entry(ckpt, field, value):
     p, d = ckpt
 
@@ -847,6 +852,34 @@ def test_checkpoint_rejects_ill_typed_parameter_entry(ckpt, field, value):
     _mangle(p, d / "bad.ckpt", fix)
     with pytest.raises(IntegrityError):
         load_checkpoint(d / "bad.ckpt")
+
+
+@pytest.mark.parametrize("fix_entry", [
+    lambda e: e.update(note="hand-edited"),  # an extra key
+    lambda e: e.update(shape=[float(n) for n in e["shape"]]),  # 8.0 is not 8
+    lambda e: e.update(shape=[True, *e["shape"][1:]]),  # true is not 1
+], ids=["extra_key", "float_in_shape", "true_in_shape"])
+def test_checkpoint_entry_must_be_the_layout_entry_exactly(tmp_path, fix_entry):
+    # one prototype: the bank's shape is [1, dim], so true and 1.0 compare equal to it
+    config = dataclasses.replace(SMALL, n_prototypes=1)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, GraspModel(config, seed=0))
+    i = [row.name for row in param_layout(config)].index("bank")
+
+    def fix(header, body):
+        fix_entry(header["params"][i])
+        return body
+
+    _mangle(p, tmp_path / "bad.ckpt", fix)
+    with pytest.raises(IntegrityError) as err:
+        load_checkpoint(tmp_path / "bad.ckpt")
+    assert f"parameter entry {i} is" in str(err.value)
+
+
+def test_negative_model_seed_is_a_config_error():
+    with pytest.raises(ConfigError) as err:
+        GraspModel(SMALL, seed=-1)
+    assert "-1" in str(err.value)
 
 
 def test_checkpoint_rejects_trailing_bytes(ckpt):

@@ -467,7 +467,7 @@ def test_attention_rejects_key_value_length_mismatch():
 
 def _attention_oracle(q, k, v, params, heads):
     """Dense numpy reimplementation used as the reference."""
-    wq, wk, wv, wo = (p.data for _, p in params.tensors())
+    wq, wk, wv, wo = (p.data for p in (params.wq, params.wk, params.wv, params.wo))
     qp, kp, vp = q @ wq, k @ wk, v @ wv
     dh = q.shape[1] // heads
     outs, maps = [], []
@@ -509,7 +509,7 @@ def test_attention_single_key_weights_are_exactly_one():
 def test_attention_coerces_array_keys_values_and_weights_beside_a_tensor_query():
     rng = np.random.default_rng(3)
     params = AttentionParams.init(4, rng)
-    weights = AttentionParams(*(p.data for _, p in params.tensors()))
+    weights = AttentionParams(*(p.data for p in (params.wq, params.wk, params.wv, params.wo)))
     q, kv = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
     grads = []
     for k, p in ((kv, weights), (Tensor(kv), params)):
