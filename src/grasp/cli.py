@@ -30,7 +30,7 @@ from .errors import ConfigError, GraspError, parse_json_object, write_csv, write
 from .geometry import read_mask, sdf
 from .model import GraspConfig, GraspModel, gate_of, load_checkpoint
 from .pgm import write_pgm
-from .synthdata import SceneConfig, generate_dataset, read_dataset, write_dataset
+from .synthdata import SPLITS, SceneConfig, generate_dataset, read_dataset, write_dataset
 from .training import TrainConfig, train
 
 
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=None, help="square image size")
-    p.add_argument("--split", choices=("train", "test"), default="train")
+    p.add_argument("--split", choices=SPLITS, default="train")
     p.add_argument("--config", default=None, help="JSON config file")
     p.set_defaults(fn=cmd_gen)
 

@@ -82,10 +82,11 @@ def check_ranges(config, checks) -> None:
 
 
 def parse_json_object(raw: bytes, what: str, error: type) -> dict:
-    """The JSON object that UTF-8 ``raw`` holds; ``error`` if it is malformed or no object."""
+    """The JSON object that UTF-8 ``raw`` holds; ``error`` if it is malformed, nested
+    past the parser's depth or no object."""
     try:
         value = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise error(f"{what}: malformed JSON ({exc})") from exc
     if not isinstance(value, dict):
         raise error(f"{what} is not a JSON object")

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .geometry import BinaryMask, iou, mask_diff, mask_union
-from .model import GraspModel, applied_gate
+from .model import GraspModel
 from .seeding import derive_seed
 from .synthdata import OCC_BINS, SceneInstance, perturb_vm
 
@@ -450,7 +450,7 @@ def gate_stats(model: GraspModel, instances: list[SceneInstance]) -> Optional[di
     tally = _MechanismTally(model.config.grid)
     for inst in instances:
         sdf_tok = model.sdf_tokens(inst.visible)
-        tally.add(inst.occ_ratio, applied_gate(model.gate(sdf_tok), override), sdf_tok, None)
+        tally.add(inst.occ_ratio, model.gate(sdf_tok, override), sdf_tok, None)
     return tally.gate_stats() if tally.n else None
 
 
@@ -480,8 +480,8 @@ def mechanism_stats(model: GraspModel, instances: list[SceneInstance]
     tally = _MechanismTally(model.config.grid)
     for inst in instances:
         trace = model.prefix(model.encode(inst.image), inst.visible)
-        gate = applied_gate(model.gate(trace.sdf_tokens), override)
-        tally.add(inst.occ_ratio, gate, trace.sdf_tokens, trace.proto_attn)
+        tally.add(inst.occ_ratio, model.gate(trace.sdf_tokens, override), trace.sdf_tokens,
+                  trace.proto_attn)
     if not tally.n:
         return None, None
     return tally.gate_stats(), tally.attention_stats()

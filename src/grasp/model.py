@@ -33,8 +33,8 @@ or the prototype mixture) so ablations are exact.
 
 from __future__ import annotations
 
+import copy
 import functools
-import itertools
 import json
 import math
 import numbers
@@ -135,17 +135,6 @@ def gate_of(alpha, beta, distance):
     return T.sigmoid(T.add(T.mul(alpha, distance), beta))
 
 
-def applied_gate(gate, gate_override: Optional[float]):
-    """The gate that inject applies: the learned ``gate``, or the override's constant.
-
-    The constant is a Tensor when ``gate`` is one and a plain array otherwise.
-    """
-    if gate_override is None:
-        return gate
-    constant = np.full(gate.shape[0], float(gate_override))
-    return Tensor(constant) if isinstance(gate, Tensor) else constant
-
-
 N_FROZEN_BLOCKS = 4
 
 
@@ -157,7 +146,6 @@ class ForwardTrace:
     """
 
     tokens: Tensor  # encoded image tokens
-    mask_tokens: Tensor  # encoded visible-mask tokens
     fused: Tensor  # image tokens after mask fusion
     prior: Tensor  # prototype mixture
     residual: Tensor  # prior - fused
@@ -242,65 +230,57 @@ def param_count(config: GraspConfig) -> int:
 
 
 class GraspParams:
-    """All parameter groups, keyed for reporting and serialization.
+    """All parameters, keyed by layout group and name for reporting and serialization.
 
-    Every parameter's values live in one float64 buffer, laid out by
-    ``param_layout``: the frozen blocks first, then the trainables.
-    Each ``Tensor.data`` is a view into it, and the frozen views are
-    read-only.  Each trainable's ``Tensor.grad`` is a view into ``grads``,
-    laid out as the trainable tail of ``values``.  ``values`` is such a
-    buffer already filled, as read from a checkpoint; without it every
-    row is drawn from its initializer.
+    ``groups`` holds every ``param_layout`` row, in the layout's order:
+    the frozen blocks first, as the group ``frozen_encoder``, then the
+    trainables.  Every parameter's values live in one float64 buffer,
+    ``values``, and each ``Tensor.data`` is a view into it; the frozen
+    views are read-only and carry no gradient.  Each trainable's
+    ``Tensor.grad`` is a view into ``grads``, laid out as the trainable
+    tail of ``values``.  ``values`` is such a buffer already filled, as
+    read from a checkpoint; without it every row is drawn from its
+    initializer.
     """
 
     def __init__(self, config: GraspConfig, seed: int, values: np.ndarray | None = None):
         if seed < 0:
             raise ConfigError(f"model seed {seed} must be >= 0")
         self.seed = int(seed)
-        layout = param_layout(config)
-        ends = list(itertools.accumulate(row.size for row in layout))
-        n_frozen = sum(row.size for row in layout if not row.trainable)
-        if values is None:
-            values = np.zeros(param_count(config))
-            rngs = {}
-            for row, end in zip(layout, ends):
-                if row.tag is not None:
-                    if row.tag not in rngs:
-                        rngs[row.tag] = np.random.default_rng(derive_seed(seed, row.tag))
-                    values[end - row.size:end] = rngs[row.tag].normal(0.0, row.scale,
-                                                                      row.size)
-        self.values = values
-        self.grads = np.zeros(param_count(config) - n_frozen)
-        self.frozen: dict[str, Tensor] = {}
+        self.layout = param_layout(config)
+        n_frozen = sum(row.size for row in self.layout if not row.trainable)
+        fresh = values is None
+        self.values = np.zeros(param_count(config)) if fresh else values
+        self.grads = np.zeros(self.values.size - n_frozen)
         self.groups: dict[str, dict[str, Tensor]] = {}
-        for row, end in zip(layout, ends):
-            data = values[end - row.size:end].reshape(row.shape)
-            if row.trainable:
-                grad = self.grads[end - row.size - n_frozen:end - n_frozen].reshape(row.shape)
-                t = Tensor._wrap(data, True, grad=grad)
-                self.groups.setdefault(row.group, {})[row.name] = t
-            else:
-                self.frozen[row.name] = Tensor._wrap(data, False)
+        rngs = {}
+        end = 0
+        for row in self.layout:
+            start, end = end, end + row.size
+            if fresh and row.tag is not None:
+                if row.tag not in rngs:
+                    rngs[row.tag] = np.random.default_rng(derive_seed(seed, row.tag))
+                self.values[start:end] = rngs[row.tag].normal(0.0, row.scale, row.size)
+            grad = (self.grads[start - n_frozen:end - n_frozen].reshape(row.shape)
+                    if row.trainable else None)
+            self.groups.setdefault(row.group, {})[row.name] = Tensor._wrap(
+                self.values[start:end].reshape(row.shape), row.trainable, grad=grad)
 
-    def named_trainable(self):
+    def named_all(self):
+        """``(group, name, parameter)`` for every layout row, in the layout's order."""
         for group, tensors in self.groups.items():
             for name, t in tensors.items():
                 yield group, name, t
 
+    def named_trainable(self):
+        return (item for row, item in zip(self.layout, self.named_all()) if row.trainable)
+
     def trainable(self):
         return [t for _, _, t in self.named_trainable()]
 
-    def named_all(self):
-        for name, t in self.frozen.items():
-            yield "frozen_encoder", name, t
-        yield from self.named_trainable()
-
     def arrays(self) -> "GraspParams":
         """The same parameters as their own arrays, in the same groups; nothing is copied."""
-        view = object.__new__(GraspParams)
-        view.seed = self.seed
-        view.values = self.values
-        view.frozen = {name: T.array_of(t) for name, t in self.frozen.items()}
+        view = copy.copy(self)
         view.groups = {group: {name: T.array_of(t) for name, t in tensors.items()}
                        for group, tensors in self.groups.items()}
         return view
@@ -332,36 +312,31 @@ class GraspModel:
             )
         feats = []
         h = T.patchify(image, cfg.patch)
+        frozen = self.params.groups["frozen_encoder"]
         for i in range(N_FROZEN_BLOCKS):
-            w = self.params.frozen[f"block{i}_w"]
-            b = self.params.frozen[f"block{i}_b"]
-            h = T.dense(h, w, b, "tanh")
+            h = T.dense(h, frozen[f"block{i}_w"], frozen[f"block{i}_b"], "tanh")
             feats.append(h)
         stacked = T.concat(feats, axis=1)
         proj = self.params.groups["projection"]
         return T.dense(stacked, proj["w"], proj["b"])
 
-    def encode_mask_tokens(self, visible: BinaryMask) -> Tensor:
-        """Visible mask -> (tokens, dim): occupancy and position through an MLP."""
+    def vm_encode_fuse(self, tokens: Tensor, visible: BinaryMask) -> Tensor:
+        """Fuse mask evidence into image tokens, scaled by the zero-init scalar.
+
+        The mask tokens are each patch's occupancy and center through an MLP.
+        """
         cfg = self.config
         occ = T.patchify(visible.a.astype(np.float64), cfg.patch).mean(axis=1)
         g = cfg.grid
         ty, tx = np.divmod(np.arange(cfg.tokens), g)
         feats = np.stack([occ, (ty + 0.5) / g, (tx + 0.5) / g], axis=1)
         p = self.params.groups["vm_encoder"]
-        h = T.dense(feats, p["w1"], p["b1"], "relu")
-        return T.dense(h, p["w2"], p["b2"])
-
-    def vm_encode_fuse(self, tokens: Tensor, visible: BinaryMask):
-        """Fuse mask evidence into image tokens, scaled by the zero-init scalar."""
-        mask_tokens = self.encode_mask_tokens(visible)
+        mask_tokens = T.dense(T.dense(feats, p["w1"], p["b1"], "relu"), p["w2"], p["b2"])
         p = self.params.groups["vm_attention"]
         attn_params = AttentionParams(p["wq"], p["wk"], p["wv"], p["wo"])
-        mixed, _ = T.multihead_cross_attention(
-            tokens, mask_tokens, mask_tokens, attn_params, self.config.heads
-        )
-        fused = T.add(tokens, T.mul(p["gamma"], mixed))
-        return fused, mask_tokens
+        mixed, _ = T.multihead_cross_attention(tokens, mask_tokens, mask_tokens, attn_params,
+                                               cfg.heads)
+        return T.add(tokens, T.mul(p["gamma"], mixed))
 
     def sdf_tokens(self, visible: BinaryMask) -> np.ndarray:
         """Pooled, diagonal-normalized signed distance per token."""
@@ -387,25 +362,32 @@ class GraspModel:
         residual = T.sub(prior, fused)
         return prior, residual, attn
 
-    def gate(self, sdf_tok: np.ndarray) -> Tensor:
-        """Per-token sigmoid gate over normalized signed distance."""
+    def gate(self, sdf_tok: np.ndarray, gate_override: Optional[float] = None) -> Tensor:
+        """The per-token gate a pass applies under a checked ``gate_override``.
+
+        That is the learned sigmoid over normalized signed distance, or
+        the override's constant: a Tensor when the model is taped, a
+        plain array otherwise.
+        """
         g = self.params.groups["gate"]
-        return gate_of(g["alpha"], g["beta"], sdf_tok)
+        if gate_override is None:
+            return gate_of(g["alpha"], g["beta"], sdf_tok)
+        constant = np.full(sdf_tok.shape[0], float(gate_override))
+        return Tensor(constant) if isinstance(g["alpha"], Tensor) else constant
 
     def inject(self, fused: Tensor, prior: Tensor, residual: Tensor, gate: Tensor,
-               gate_override: Optional[float]) -> tuple[Tensor, Tensor]:
+               gate_override: Optional[float]) -> Tensor:
         """Blend the prototype residual into the fused tokens.
 
         Overrides 0 and 1 short-circuit to their algebraic identities
         (fused tokens and prior, respectively), so ablations compare
         bit-identical quantities rather than reconstructed ones.
         """
-        gate = applied_gate(gate, gate_override)
         if gate_override == 0.0:
-            return fused, gate
+            return fused
         if gate_override == 1.0:
-            return prior, gate
-        return T.add(fused, T.scale_rows(residual, gate)), gate
+            return prior
+        return T.add(fused, T.scale_rows(residual, gate))
 
     def decode_branches(self, injected: Tensor):
         """Shared trunk, then the occluded and amodal branch features."""
@@ -438,11 +420,10 @@ class GraspModel:
     def prefix(self, tokens: Tensor, visible: BinaryMask) -> ForwardTrace:
         """Everything before the gate, from encoded image tokens and a visible mask."""
         sdf_tok = self.sdf_tokens(visible)
-        fused, mask_tokens = self.vm_encode_fuse(tokens, visible)
+        fused = self.vm_encode_fuse(tokens, visible)
         prior, residual, attn = self.spm(fused, sdf_tok)
-        return ForwardTrace(tokens=tokens, mask_tokens=mask_tokens, fused=fused, prior=prior,
-                            residual=residual, sdf_tokens=sdf_tok,
-                            proto_attn=T.array_of(attn))
+        return ForwardTrace(tokens=tokens, fused=fused, prior=prior, residual=residual,
+                            sdf_tokens=sdf_tok, proto_attn=T.array_of(attn))
 
     def forward(self, image: np.ndarray, visible: BinaryMask,
                 gate_override: Optional[float] = "config") -> ForwardTrace:
@@ -464,24 +445,22 @@ class GraspModel:
         trace equals a fresh ``forward`` under the new override bit for bit.
         """
         gate_override = self.resolve_override(gate_override)
-        gate = self.gate(trace.sdf_tokens)
-        injected, effective_gate = self.inject(trace.fused, trace.prior, trace.residual, gate,
-                                               gate_override)
+        gate = self.gate(trace.sdf_tokens, gate_override)
+        injected = self.inject(trace.fused, trace.prior, trace.residual, gate, gate_override)
         occ_branch, amodal_branch = self.decode_branches(injected)
         logits_occ, logits_amodal = self.heads_from_branches(occ_branch, amodal_branch)
-        return replace(trace, gate=effective_gate, injected=injected, logits_occ=logits_occ,
+        return replace(trace, gate=gate, injected=injected, logits_occ=logits_occ,
                        logits_amodal=logits_amodal)
 
     # -- reporting -------------------------------------------------------
 
     def count_params(self) -> dict[str, int]:
-        """Trainable scalars per group, plus the frozen encoder for reference."""
-        counts = {"frozen_encoder (not trained)": sum(t.size for t in self.params.frozen.values())}
-        total = 0
-        for group, tensors in self.params.groups.items():
-            n = sum(t.size for t in tensors.values())
-            counts[group] = n
-            total += n
+        """Trainable scalars per layout group, plus the frozen encoder for reference."""
+        counts, total = {}, 0
+        for row in param_layout(self.config):
+            key = row.group if row.trainable else f"{row.group} (not trained)"
+            counts[key] = counts.get(key, 0) + row.size
+            total += row.size if row.trainable else 0
         counts["total_trainable"] = total
         return counts
 

@@ -41,7 +41,7 @@ def extract_probe_set(model: GraspModel, instances: list[SceneInstance], seed: i
     for index, inst in enumerate(instances):
         sdf_tok = model.sdf_tokens(inst.visible)
         tokens = model.encode(inst.image)
-        fused, _ = model.vm_encode_fuse(tokens, inst.visible)
+        fused = model.vm_encode_fuse(tokens, inst.visible)
         rng = np.random.default_rng(derive_seed(seed, "probe-random", index))
         feats["pre_fusion"].append(tokens)
         feats["post_fusion"].append(fused)

@@ -43,6 +43,7 @@ from .errors import (
 from .geometry import BinaryMask, mask_diff, read_mask, write_mask
 
 SHAPE_CLASSES = ("rectangle", "ellipse", "triangle", "l_shape")
+SPLITS = ("train", "test")
 OCC_BINS = ((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0))
 
 # Largest scene side: one float64 image of it is 128 MiB.
@@ -417,7 +418,7 @@ def write_dataset(
     config: SceneConfig | None = None,
     split: str = "train",
 ) -> DatasetManifest:
-    if split not in ("train", "test"):
+    if split not in SPLITS:
         raise ConfigError(f"split must be train or test, got {split!r}")
     if not instances:
         raise ConfigError("refusing to write an empty dataset")
@@ -475,6 +476,12 @@ def read_dataset(data_dir) -> tuple[DatasetManifest, list[SceneInstance]]:
         raise DatasetIOError(f"{manifest_path}: empty dataset (count {raw['count']})")
     if raw["base_seed"] < 0:
         raise DatasetIOError(f"{manifest_path}: base_seed {raw['base_seed']} is negative")
+    if raw["split"] not in SPLITS:
+        raise DatasetIOError(f"{manifest_path}: split {raw['split']!r} is not one of {SPLITS}")
+    try:
+        SceneConfig.from_dict(raw["config"])
+    except ConfigError as exc:
+        raise DatasetIOError(f"{manifest_path}: scene config: {exc}") from exc
     h, w = raw["height"], raw["width"]
     instances = []
     for i, entry in enumerate(raw["instances"]):
@@ -484,6 +491,9 @@ def read_dataset(data_dir) -> tuple[DatasetManifest, list[SceneInstance]]:
             raise IntegrityError(f"{what} has id {entry['id']}")
         if entry["seed"] < 0:
             raise DatasetIOError(f"{what}: seed {entry['seed']} is negative")
+        if entry["shape_class"] not in SHAPE_CLASSES:
+            raise DatasetIOError(f"{what}: shape_class {entry['shape_class']!r} is not one "
+                                 f"of {SHAPE_CLASSES}")
         pixels = pgm.read_pgm(os.path.join(data_dir, entry["image"]))
         visible = read_mask(os.path.join(data_dir, entry["visible"]))
         amodal = read_mask(os.path.join(data_dir, entry["amodal"]))

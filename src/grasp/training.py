@@ -247,19 +247,22 @@ def train(model: GraspModel, instances: list[SceneInstance], config: TrainConfig
                 picks = rng.integers(0, n, size=config.batch)
 
             sums = dict.fromkeys(LossBreakdown.FIELDS, 0.0)
-            for slot, i in enumerate(picks):
-                inst = instances[int(i)]
-                vm_seed = derive_seed(config.seed, "train-vm", step, slot)
-                v_in = training_vm(inst.visible, vm_seed, clean_prob=config.clean_vm_prob)
-                trace = model.forward(inst.image, v_in)
-                loss, breakdown = total_loss(
-                    trace, inst.amodal, inst.visible, occ_weight=config.occ_weight
-                )
-                T.mul(loss, 1.0 / config.batch).backward()
-                # free this instance's tape before the next forward builds its own
-                del trace, loss
-                for key in LossBreakdown.FIELDS:
-                    sums[key] += getattr(breakdown, key) / config.batch
+            # a diverging step overflows on its way to a non-finite loss, which
+            # the check below reports as the one fault
+            with np.errstate(over="ignore", invalid="ignore"):
+                for slot, i in enumerate(picks):
+                    inst = instances[int(i)]
+                    vm_seed = derive_seed(config.seed, "train-vm", step, slot)
+                    v_in = training_vm(inst.visible, vm_seed, clean_prob=config.clean_vm_prob)
+                    trace = model.forward(inst.image, v_in)
+                    loss, breakdown = total_loss(
+                        trace, inst.amodal, inst.visible, occ_weight=config.occ_weight
+                    )
+                    T.mul(loss, 1.0 / config.batch).backward()
+                    # free this instance's tape before the next forward builds its own
+                    del trace, loss
+                    for key in LossBreakdown.FIELDS:
+                        sums[key] += getattr(breakdown, key) / config.batch
 
             if not all(math.isfinite(v) for v in sums.values()):
                 raise TrainingDiverged(step, sums)

@@ -4,15 +4,19 @@ dataset generation through SDF export."""
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import count_model_calls
+import grasp
 from grasp import __version__, evalkit, probe
 from grasp.cli import build_parser, main
 from grasp.errors import _FIELD_TYPES
@@ -59,9 +63,15 @@ def _gen(tmp_path, name, *, n=4, seed=0, config=None, extra=()):
 
 
 def test_version_runs_as_a_module():
+    # the subprocess does not inherit pytest's pythonpath, so it is handed the
+    # directory of the grasp package this suite imported
+    package_parent = str(Path(grasp.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [package_parent,
+                                                       os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "grasp.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert f"grasp {__version__}" in proc.stdout
@@ -715,6 +725,20 @@ def test_malformed_inputs_end_in_one_error_line(tmp_path, capsys):
         assert len(lines) == 1 and lines[0].startswith(f"error:{kind}:"), (argv, out.err)
     for made in ("rep", "t.ckpt", "gen", "sdf"):
         assert not (tmp_path / made).exists(), made
+
+
+def test_a_diverged_run_ends_in_one_error_line_and_no_warning(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    data = _gen(tmp_path, "data", n=4, config=config)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                     "--config", config, "--lr", "1e300", "--steps", "4"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error:TrainingDiverged:"), lines
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_empty_dataset_ends_in_one_error_line(tmp_path, capsys):

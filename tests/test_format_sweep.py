@@ -6,10 +6,14 @@ header token is set, one at a time, to each value of a fixed set, and
 ``config`` key and every field of one ``params`` entry is set the same
 way, and ``grasp stats`` reads the result.  Each record (the manifest,
 an instance entry, the checkpoint header and a ``params`` entry) also
-gets one unknown key.  Config file: every field of
+gets one unknown key, and the manifest and the checkpoint header are each
+once nested past the JSON parser's depth.  Config file: every field of
 the ``scene``, ``model`` and ``train`` sections, and one unknown
 top-level section, is set the same way; ``grasp gen`` reads the scene
-cases and ``grasp train`` the others.
+cases and ``grasp train`` the others, and each reads one unknown section
+and one file nested past the parser's depth.  Flags: every numeric flag of
+``gen``, ``train``, ``eval``, ``ablate``, ``probe`` and ``sdf`` is given
+each of a fixed set of strings, where a usage error (exit 2) is allowed too.
 
 Each case must exit 0, or exit 1 with exactly one ``error:<Kind>:``
 line on stderr.  Any other exception propagates and fails the test,
@@ -40,16 +44,18 @@ PGM_TOKENS = dict(zip(LABELS, (MISSING, b"x", b"0", b"-1", b"nan", b"inf", b"-in
                                str(HUGE).encode())))
 ONE_ERROR_LINE = re.compile(r"error:(\w+):")
 UNKNOWN = {"unknown_key": 0}
+# nested past the parser's depth
+DEEP = b"[" * 100_000
 
 # the only mutations that leave a valid dataset: a seed may be any integer >= 0
 ACCEPTED = {"manifest.base_seed=0", "manifest.base_seed=huge",
             "instances[1].seed=0", "instances[1].seed=huge"}
 # how many of the other cases end in each kind of error line
-ERROR_KINDS = {"DatasetIOError": 201, "IntegrityError": 13}
+ERROR_KINDS = {"DatasetIOError": 202, "IntegrityError": 13}
 
 CKPT_ACCEPTED = {"config.gate_override=0", "extra=missing", "seed=0", "seed=huge", "step=0",
                  "step=huge"}
-CKPT_ERROR_KINDS = {"ConfigError": 62, "IntegrityError": 86}
+CKPT_ERROR_KINDS = {"ConfigError": 62, "IntegrityError": 87}
 
 
 # every section field written out, so each one is mutated; gen makes two
@@ -68,7 +74,7 @@ CONFIG_ACCEPTED = {
                                 "train.lr", "train.occ_weight", "train.seed", "train.steps",
                                 "train.weight_decay")),
 }
-CONFIG_ERROR_KINDS = {"ConfigError": 172, "DimensionError": 1}
+CONFIG_ERROR_KINDS = {"ConfigError": 172, "DimensionError": 1, "GraspError": 2}
 
 
 def _wrong_type(original):
@@ -103,6 +109,7 @@ def _cases(data):
                    json.dumps(_mutated(manifest, key, value)).encode())
     yield ("manifest+unknown_key", data / "manifest.json",
            json.dumps({**manifest, **UNKNOWN}).encode())
+    yield "manifest=deep", data / "manifest.json", DEEP
     entries = manifest["instances"]
     for key in entries[1]:
         for label, value in JSON_VALUES.items():
@@ -130,6 +137,7 @@ def _checkpoint_cases(path):
         for label, value in JSON_VALUES.items():
             yield case(f"{key}={label}", _mutated(header, key, value))
     yield case("header+unknown_key", {**header, **UNKNOWN})
+    yield "header=deep", path, DEEP + b"\n" + body
     for key in header["config"]:
         for label, value in JSON_VALUES.items():
             yield case(f"config.{key}={label}",
@@ -207,6 +215,7 @@ def _config_cases(path, sections):
                 mutated = {**CONFIG, section: _mutated(CONFIG[section], key, value)}
                 yield f"{section}.{key}={label}", path, json.dumps(mutated).encode()
     yield "extra_section", path, json.dumps({**CONFIG, "modle": dict(MODEL)}).encode()
+    yield "train=deep", path, b'{"train": ' + DEEP
 
 
 def test_every_config_file_mutation_ends_in_exit_0_or_one_error_line(tmp_path, capsys):
@@ -223,3 +232,59 @@ def test_every_config_file_mutation_ends_in_exit_0_or_one_error_line(tmp_path, c
     assert accepted | more == CONFIG_ACCEPTED, (
         sorted((accepted | more) - CONFIG_ACCEPTED), sorted(CONFIG_ACCEPTED - (accepted | more)))
     assert kinds == CONFIG_ERROR_KINDS
+
+
+# the flag half: each numeric flag of a command, one at a time, at each value,
+# passed as the literal string a shell would pass
+FLAG_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e30", "x")
+# (a zero ridge penalty is singular on the two-instance dataset: a ConfigError)
+FLAGS_ACCEPTED = {
+    "gen --seed 0", "train --lr 1e30", "train --seed 0", "eval --seed 0",
+    "eval --gate-override 0", "ablate --seed 0", "probe --ridge-lambda 1e30", "probe --seed 0",
+    *(f"sdf {flag} {value}" for flag in ("--alpha", "--beta") for value in ("0", "-1", "1e30")),
+}
+
+
+def _flag_cases(tmp_path):
+    """``(command, base flags, numeric flags)`` of every command with numeric flags."""
+    config, data = _gen(tmp_path)
+    ckpt = tmp_path / "m.ckpt"
+    train = {"--data": data, "--out": ckpt, "--config": config, "--steps": 1, "--batch": 1}
+    assert main(["train", *(str(x) for kv in train.items() for x in kv)]) == 0
+    analysis = {"--ckpt": ckpt, "--data": data, "--out": tmp_path / "out"}
+    return [
+        ("gen", {"--out": tmp_path / "gen", "--n": 2, "--config": config},
+         ("--n", "--seed", "--size")),
+        ("train", train, ("--steps", "--batch", "--lr", "--seed")),
+        ("eval", analysis, ("--seed", "--threshold", "--gate-override")),
+        ("ablate", {**analysis, "--out": tmp_path / "ablate.csv"}, ("--seed", "--threshold")),
+        ("probe", analysis, ("--ridge-lambda", "--test-frac", "--seed")),
+        ("sdf", {"--mask": data / "vis_000000.pgm", "--out": tmp_path / "sdf"},
+         ("--alpha", "--beta")),
+    ]
+
+
+def test_every_numeric_flag_value_ends_in_exit_0_one_error_line_or_usage(tmp_path, capsys):
+    accepted = set()
+    for command, base, flags in _flag_cases(tmp_path):
+        for flag in flags:
+            for value in FLAG_VALUES:
+                name = f"{command} {flag} {value}"
+                argv = [command, *(str(x) for kv in {**base, flag: value}.items() for x in kv)]
+                capsys.readouterr()
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        code = main(argv)
+                except SystemExit as exc:  # argparse's usage error
+                    code = exc.code
+                lines = capsys.readouterr().err.splitlines()
+                if code == 0:
+                    assert not lines, (name, lines)
+                    accepted.add(name)
+                elif code == 1:
+                    assert len(lines) == 1 and ONE_ERROR_LINE.match(lines[0]), (name, lines)
+                else:
+                    assert code == 2 and "usage:" in lines[0], (name, code, lines)
+    assert accepted == FLAGS_ACCEPTED, (sorted(accepted - FLAGS_ACCEPTED),
+                                        sorted(FLAGS_ACCEPTED - accepted))

@@ -146,7 +146,7 @@ def test_zero_initialized_parameters():
 
 def test_frozen_blocks_do_not_track_gradients():
     m = GraspModel(SMALL, seed=0)
-    for name, t in m.params.frozen.items():
+    for name, t in m.params.groups["frozen_encoder"].items():
         assert not t.requires_grad, name
         assert not t.data.flags.writeable, name
 
@@ -160,7 +160,6 @@ def test_forward_shapes():
     tr = m.forward(inst.image, inst.visible)
     n, d = SMALL.tokens, SMALL.dim
     assert tr.tokens.shape == (n, d)
-    assert tr.mask_tokens.shape == (n, d)
     assert tr.fused.shape == (n, d)
     assert tr.prior.shape == (n, d)
     assert tr.residual.shape == (n, d)
@@ -585,14 +584,14 @@ def test_every_parameter_is_a_view_of_one_buffer(tmp_path):
 def _assert_gradients_are_views_of_one_buffer(m):
     grads = m.params.grads
     assert grads.dtype == np.float64 and grads.ndim == 1 and grads.flags.c_contiguous
-    assert all(t.grad is None for t in m.params.frozen.values())
+    assert all(t.grad is None for t in m.params.groups["frozen_encoder"].values())
     offset = 0
     for g, n, t in m.params.named_trainable():
         assert t.grad.base is grads and t.grad.shape == t.data.shape, f"{g}.{n}"
         assert t.grad.ctypes.data == grads.ctypes.data + 8 * offset, f"{g}.{n}"
         offset += t.grad.size
     assert offset == grads.size == m.params.values.size - sum(
-        t.size for t in m.params.frozen.values())
+        t.size for t in m.params.groups["frozen_encoder"].values())
 
 
 def test_every_trainable_gradient_is_a_view_of_one_buffer(tmp_path):

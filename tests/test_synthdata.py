@@ -492,6 +492,18 @@ def test_read_dataset_rejects_manifest_with_missing_key(tmp_path):
     assert "height" in str(err.value)
 
 
+@pytest.mark.parametrize("mutate,named", [
+    (lambda raw: raw.update(split="validation"), "validation"),
+    (lambda raw: raw["instances"][1].update(shape_class="hexagon"), "hexagon"),
+    (lambda raw: raw["config"].update(size=-5, bogus=1), "bogus"),
+], ids=["split", "shape_class", "config"])
+def test_read_dataset_rejects_a_manifest_value_no_writer_makes(tmp_path, mutate, named):
+    _tamper(tmp_path, mutate)
+    with pytest.raises(DatasetIOError) as err:
+        read_dataset(tmp_path)
+    assert named in str(err.value)
+
+
 def test_read_dataset_detects_count_mismatch(tmp_path):
     def mutate(raw):
         raw["count"] += 1

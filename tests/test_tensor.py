@@ -345,7 +345,7 @@ def test_only_parameters_hold_gradient_buffers():
     assert all(t.grad is None for t in interior)
     assert all(t.grad is not None for t in params)
     assert any(np.any(t.grad != 0.0) for t in params)
-    assert all(t.grad is None for t in model.params.frozen.values())
+    assert all(t.grad is None for t in model.params.groups["frozen_encoder"].values())
 
 
 def test_zero_grads_resets():

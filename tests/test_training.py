@@ -455,9 +455,10 @@ def test_train_is_bit_reproducible():
 
 def test_train_never_touches_frozen_parameters():
     model = GraspModel(SMALL, seed=0)
-    keep = {k: t.data.copy() for k, t in model.params.frozen.items()}
+    frozen = model.params.groups["frozen_encoder"]
+    keep = {k: t.data.copy() for k, t in frozen.items()}
     train(model, _tiny_data(4), TrainConfig(steps=6, batch=2, lr=1e-2, seed=0))
-    for k, t in model.params.frozen.items():
+    for k, t in frozen.items():
         assert np.array_equal(t.data, keep[k]), k
 
 
